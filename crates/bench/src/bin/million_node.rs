@@ -4,8 +4,9 @@
 //! The dense `DistanceMatrix` needs `n²` u16 entries — ~2.2 TiB at the
 //! n = 1,092,624 routers of LPS(5,103) — so the classic construction path
 //! cannot even start at this scale. This binary builds that fabric behind a
-//! [`CayleyOracle`](spectralfly_graph::CayleyOracle) (one BFS ball from the identity plus O(1) PGL₂ group
-//! translation, ~n·u16 resident) or a [`LandmarkOracle`](spectralfly_graph::LandmarkOracle) (hub labeling), runs
+//! [`CayleyOracle`](spectralfly_graph::CayleyOracle) (one BFS ball from the identity, per-port generator
+//! labels and one O(1) PGL₂ group translation per decision, 58 bytes/router
+//! resident) or a [`LandmarkOracle`](spectralfly_graph::LandmarkOracle) (hub labeling), runs
 //! finite and steady-state simulations under minimal and UGAL-L routing, and
 //! records wall times, routing decisions/second, oracle resident bytes, and
 //! the process peak RSS (`VmHWM`) to the `BENCH_engine.json` trajectory.
@@ -21,7 +22,9 @@
 //!   CI (results go to a throwaway file unless `--out` is given);
 //! * `--oracle dense` is accepted and *expected to fail fast* with
 //!   [`spectralfly_graph::OracleError::TooManyVertices`] — the point of the
-//!   tier — so the error path is part of what this binary demonstrates;
+//!   tier — so the error path is part of what this binary demonstrates. That
+//!   error, like an unknown `--oracle` value, is printed to stderr and exits
+//!   with status 2 instead of panicking;
 //! * offered load defaults to 5% of injection bandwidth: the paper's
 //!   million-endpoint question is feasibility and memory, not saturation.
 
@@ -64,6 +67,37 @@ fn build_network(lps: &LpsGraph, policy: OraclePolicy) -> Result<SimNetwork, Ora
     }
 }
 
+/// Why the run cannot start; printed to stderr with exit status 2.
+#[derive(Debug)]
+enum SetupError {
+    /// `--oracle` names no known policy.
+    BadOracle(String),
+    /// The chosen oracle cannot represent the fabric.
+    Unrepresentable {
+        policy: OraclePolicy,
+        fabric: String,
+        routers: usize,
+        source: OracleError,
+    },
+}
+
+impl std::fmt::Display for SetupError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SetupError::BadOracle(why) => write!(f, "--oracle: {why}"),
+            SetupError::Unrepresentable {
+                policy,
+                fabric,
+                routers,
+                source,
+            } => write!(
+                f,
+                "--oracle {policy} cannot represent {fabric} ({routers} routers): {source}"
+            ),
+        }
+    }
+}
+
 fn run_point(
     net: &SimNetwork,
     cfg: &SimConfig,
@@ -81,13 +115,20 @@ fn run_point(
 }
 
 fn main() {
+    if let Err(e) = run() {
+        eprintln!("million_node: {e}");
+        std::process::exit(2);
+    }
+}
+
+fn run() -> Result<(), SetupError> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (p, q) = if smoke { (5u64, 47u64) } else { (5u64, 103u64) };
     let policy: OraclePolicy = arg_str("--oracle")
         .as_deref()
         .unwrap_or("cayley")
         .parse()
-        .unwrap_or_else(|e| panic!("--oracle: {e}"));
+        .map_err(SetupError::BadOracle)?;
     let load = arg_u64("--load-pct", 5) as f64 / 100.0;
     let seed = arg_u64("--seed", 0x106);
     let shards = shards_from_args();
@@ -103,12 +144,12 @@ fn main() {
     let lps = LpsGraph::new(p, q).expect("valid LPS parameters");
     let build_graph_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let net = build_network(&lps, policy).unwrap_or_else(|e| {
-        panic!(
-            "--oracle {policy} cannot represent LPS({p},{q}) ({} routers): {e}",
-            lps.graph().num_vertices()
-        )
-    });
+    let net = build_network(&lps, policy).map_err(|source| SetupError::Unrepresentable {
+        policy,
+        fabric: lps.name(),
+        routers: lps.graph().num_vertices(),
+        source,
+    })?;
     let build_oracle_s = t0.elapsed().as_secs_f64();
     println!(
         "fabric {}: {} routers, radix {}, diameter {}, oracle {} ({} bytes resident), \
@@ -223,4 +264,5 @@ fn main() {
         rows.join(",")
     );
     append_entry(&out, &entry);
+    Ok(())
 }

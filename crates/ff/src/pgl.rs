@@ -11,7 +11,6 @@
 //! set of classes whose determinant is a nonzero square. This gives a uniform representation
 //! for both groups.
 
-use crate::arith::{mod_inv, mod_mul};
 use crate::residue::legendre;
 
 /// Which projective group a vertex set ranges over.
@@ -39,21 +38,40 @@ pub struct ProjMat {
     pub d: u64,
 }
 
-/// The group `PGL(2, F_q)` or `PSL(2, F_q)` for an odd prime `q`.
+/// The group `PGL(2, F_q)` or `PSL(2, F_q)` for an odd prime `q < 2³²`.
+///
+/// All arithmetic is native `u64`: entries are reduced mod `q < 2³²`, so every
+/// product of two entries fits without widening. Canonicalization scales by the
+/// inverse of the leading entry, read from a `q`-entry table built once in
+/// [`ProjectiveGroup::new`] (`4q` bytes) instead of an extended GCD per call —
+/// these two are the whole cost of a Cayley-oracle translation.
 #[derive(Clone, Debug)]
 pub struct ProjectiveGroup {
     q: u64,
     kind: ProjectiveKind,
+    /// `inv[x] = x⁻¹ mod q` for `x ∈ 1..q` (`inv[0]` is unused).
+    inv: Vec<u32>,
 }
 
 impl ProjectiveGroup {
-    /// Create the group over `F_q` (odd prime `q ≥ 3`).
+    /// Create the group over `F_q` (odd prime `3 ≤ q < 2³²`).
     pub fn new(q: u64, kind: ProjectiveKind) -> Self {
         assert!(
             q >= 3 && q % 2 == 1,
             "projective groups here require an odd prime q"
         );
-        ProjectiveGroup { q, kind }
+        assert!(
+            q < 1 << 32,
+            "projective groups here require q < 2^32 (native-width arithmetic), got q = {q}"
+        );
+        // inv[x] = -(q / x) · inv[q mod x]: from q = (q / x)·x + q mod x, reduced mod q.
+        let mut inv = vec![0u32; q as usize];
+        inv[1] = 1;
+        for x in 2..q {
+            let t = (q / x) * inv[(q % x) as usize] as u64 % q;
+            inv[x as usize] = ((q - t) % q) as u32;
+        }
+        ProjectiveGroup { q, kind, inv }
     }
 
     /// The field size `q`.
@@ -64,6 +82,11 @@ impl ProjectiveGroup {
     /// Which group this is.
     pub fn kind(&self) -> ProjectiveKind {
         self.kind
+    }
+
+    /// Resident bytes of the side tables (the inverse table).
+    pub fn memory_bytes(&self) -> usize {
+        self.inv.len() * std::mem::size_of::<u32>()
     }
 
     /// Group order: `q³ - q` for PGL, `(q³ - q)/2` for PSL.
@@ -85,10 +108,20 @@ impl ProjectiveGroup {
         }
     }
 
+    /// `(x·y + z·w) mod q` for operands in `0..=q`.
+    #[inline]
+    fn dot(&self, x: u64, y: u64, z: u64, w: u64) -> u64 {
+        let s = x * y % self.q + z * w % self.q;
+        if s >= self.q {
+            s - self.q
+        } else {
+            s
+        }
+    }
+
     /// Determinant of a representative (mod `q`).
     pub fn det(&self, m: ProjMat) -> u64 {
-        let q = self.q;
-        (mod_mul(m.a, m.d, q) + q - mod_mul(m.b, m.c, q)) % q
+        self.dot(m.a, m.d, self.q - m.b, m.c)
     }
 
     /// Canonicalize raw entries into the unique projective representative.
@@ -97,18 +130,25 @@ impl ProjectiveGroup {
     pub fn canonicalize(&self, a: u64, b: u64, c: u64, d: u64) -> Option<ProjMat> {
         let q = self.q;
         let (a, b, c, d) = (a % q, b % q, c % q, d % q);
-        let det = (mod_mul(a, d, q) + q - mod_mul(b, c, q)) % q;
-        if det == 0 {
+        if self.dot(a, d, q - b, c) == 0 {
             return None;
         }
-        let lead = [a, b, c, d].into_iter().find(|&x| x != 0)?;
-        let inv = mod_inv(lead, q).expect("nonzero element mod prime is invertible");
-        Some(ProjMat {
-            a: mod_mul(a, inv, q),
-            b: mod_mul(b, inv, q),
-            c: mod_mul(c, inv, q),
-            d: mod_mul(d, inv, q),
-        })
+        Some(self.scale_to_canonical(a, b, c, d))
+    }
+
+    /// Scale reduced, invertible entries so the first nonzero one is `1`.
+    #[inline]
+    fn scale_to_canonical(&self, a: u64, b: u64, c: u64, d: u64) -> ProjMat {
+        // An invertible matrix with a = 0 has det = -bc != 0, so b leads.
+        let lead = if a != 0 { a } else { b };
+        let inv = self.inv[lead as usize] as u64;
+        let q = self.q;
+        ProjMat {
+            a: a * inv % q,
+            b: b * inv % q,
+            c: c * inv % q,
+            d: d * inv % q,
+        }
     }
 
     /// Does this canonical class belong to the group (PGL: always; PSL: square determinant)?
@@ -119,23 +159,47 @@ impl ProjectiveGroup {
         }
     }
 
+    /// The adjugate `[[d, -b], [-c, a]]`: projectively the inverse class.
+    #[inline]
+    fn adjugate(&self, m: ProjMat) -> ProjMat {
+        let neg = |x: u64| if x == 0 { 0 } else { self.q - x };
+        ProjMat {
+            a: m.d,
+            b: neg(m.b),
+            c: neg(m.c),
+            d: m.a,
+        }
+    }
+
     /// Group multiplication `x · y` of canonical classes, producing a canonical class.
+    ///
+    /// Any reduced invertible representatives are accepted, not only canonical ones.
+    #[inline]
     pub fn mul(&self, x: ProjMat, y: ProjMat) -> ProjMat {
-        let q = self.q;
-        let a = (mod_mul(x.a, y.a, q) + mod_mul(x.b, y.c, q)) % q;
-        let b = (mod_mul(x.a, y.b, q) + mod_mul(x.b, y.d, q)) % q;
-        let c = (mod_mul(x.c, y.a, q) + mod_mul(x.d, y.c, q)) % q;
-        let d = (mod_mul(x.c, y.b, q) + mod_mul(x.d, y.d, q)) % q;
-        self.canonicalize(a, b, c, d)
-            .expect("product of invertible matrices is invertible")
+        let a = self.dot(x.a, y.a, x.b, y.c);
+        let b = self.dot(x.a, y.b, x.b, y.d);
+        let c = self.dot(x.c, y.a, x.d, y.c);
+        let d = self.dot(x.c, y.b, x.d, y.d);
+        debug_assert_ne!(
+            self.dot(a, d, self.q - b, c),
+            0,
+            "product of invertible matrices is invertible"
+        );
+        self.scale_to_canonical(a, b, c, d)
     }
 
     /// Inverse of a canonical class.
     pub fn inverse(&self, m: ProjMat) -> ProjMat {
-        // adj(M) = [[d, -b], [-c, a]] is a scalar multiple of the inverse projectively.
-        let q = self.q;
-        self.canonicalize(m.d, (q - m.b) % q, (q - m.c) % q, m.a)
-            .expect("inverse of an invertible matrix exists")
+        let adj = self.adjugate(m);
+        self.scale_to_canonical(adj.a, adj.b, adj.c, adj.d)
+    }
+
+    /// The left quotient `x⁻¹ · y` with a single canonicalization: the adjugate
+    /// of `x` is a scalar multiple of `x⁻¹`, so `adj(x) · y` already lies in the
+    /// class of `x⁻¹ · y`. This is the Cayley-graph translation `diff(x, y)`.
+    #[inline]
+    pub fn inv_mul(&self, x: ProjMat, y: ProjMat) -> ProjMat {
+        self.mul(self.adjugate(x), y)
     }
 
     /// Enumerate every canonical class in the group, in a deterministic order.
@@ -151,7 +215,7 @@ impl ProjectiveGroup {
         // Case a = 1: b, c, d free with det = d - bc != 0.
         for b in 0..q {
             for c in 0..q {
-                let bc = mod_mul(b, c, q);
+                let bc = b * c % q;
                 for d in 0..q {
                     if d == bc {
                         continue;
@@ -270,7 +334,7 @@ impl ProjectiveIndex {
     pub fn index_of(&self, m: ProjMat) -> usize {
         let q = self.q;
         if m.a == 1 {
-            let bc = mod_mul(m.b, m.c, q);
+            let bc = m.b * m.c % q;
             ((m.b * q + m.c) * self.bucket + self.rank_d[(bc * q + m.d) as usize] as u64) as usize
         } else {
             debug_assert_eq!(
@@ -405,6 +469,113 @@ mod tests {
                 assert_eq!(elems[r], g.mul(x, y));
             }
         }
+    }
+
+    /// The `u128` + extended-GCD arithmetic the native-width group replaced,
+    /// kept as the reference the fast paths must reproduce bit for bit.
+    mod reference {
+        use super::ProjMat;
+        use crate::arith::{mod_inv, mod_mul};
+
+        pub fn canonicalize(q: u64, a: u64, b: u64, c: u64, d: u64) -> Option<ProjMat> {
+            let (a, b, c, d) = (a % q, b % q, c % q, d % q);
+            if (mod_mul(a, d, q) + q - mod_mul(b, c, q)).is_multiple_of(q) {
+                return None;
+            }
+            let lead = [a, b, c, d].into_iter().find(|&x| x != 0)?;
+            let inv = mod_inv(lead, q)?;
+            Some(ProjMat {
+                a: mod_mul(a, inv, q),
+                b: mod_mul(b, inv, q),
+                c: mod_mul(c, inv, q),
+                d: mod_mul(d, inv, q),
+            })
+        }
+
+        pub fn mul(q: u64, x: ProjMat, y: ProjMat) -> ProjMat {
+            let a = (mod_mul(x.a, y.a, q) + mod_mul(x.b, y.c, q)) % q;
+            let b = (mod_mul(x.a, y.b, q) + mod_mul(x.b, y.d, q)) % q;
+            let c = (mod_mul(x.c, y.a, q) + mod_mul(x.d, y.c, q)) % q;
+            let d = (mod_mul(x.c, y.b, q) + mod_mul(x.d, y.d, q)) % q;
+            canonicalize(q, a, b, c, d).expect("invertible product")
+        }
+
+        pub fn inverse(q: u64, m: ProjMat) -> ProjMat {
+            canonicalize(q, m.d, (q - m.b) % q, (q - m.c) % q, m.a).expect("invertible")
+        }
+    }
+
+    /// Exhaustive equivalence with the reference on small fields: every raw
+    /// 4-tuple canonicalizes identically (singular ones to `None`), and every
+    /// element and ordered pair agree on inverse, product and left quotient.
+    #[test]
+    fn native_arithmetic_matches_reference_exhaustively() {
+        for q in [3u64, 5, 7, 11, 13] {
+            for kind in [ProjectiveKind::Pgl, ProjectiveKind::Psl] {
+                let g = ProjectiveGroup::new(q, kind);
+                for code in 0..q.pow(4) {
+                    let (a, b, c, d) = (code % q, code / q % q, code / q / q % q, code / q.pow(3));
+                    assert_eq!(
+                        g.canonicalize(a, b, c, d),
+                        reference::canonicalize(q, a, b, c, d),
+                        "q={q} canonicalize({a},{b},{c},{d})"
+                    );
+                }
+                let elems = g.enumerate();
+                for &x in &elems {
+                    let x_inv = reference::inverse(q, x);
+                    assert_eq!(g.inverse(x), x_inv, "q={q} {kind:?}");
+                    for &y in &elems {
+                        let xy = reference::mul(q, x, y);
+                        assert_eq!(g.mul(x, y), xy, "q={q} {kind:?} {x:?}·{y:?}");
+                        assert_eq!(
+                            g.inv_mul(x, y),
+                            reference::mul(q, x_inv, y),
+                            "q={q} {kind:?} {x:?}⁻¹·{y:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sampled equivalence at the fields the simulator's fabrics use, including
+    /// unreduced inputs to `canonicalize`.
+    #[test]
+    fn native_arithmetic_matches_reference_on_samples() {
+        for q in [47u64, 103] {
+            for kind in [ProjectiveKind::Pgl, ProjectiveKind::Psl] {
+                let g = ProjectiveGroup::new(q, kind);
+                let elems = g.enumerate();
+                // A fixed LCG walk over the element list.
+                let mut state = q;
+                let mut next = || {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (state >> 33) as usize
+                };
+                for _ in 0..20_000 {
+                    let x = elems[next() % elems.len()];
+                    let y = elems[next() % elems.len()];
+                    assert_eq!(g.mul(x, y), reference::mul(q, x, y), "q={q} {kind:?}");
+                    assert_eq!(g.inverse(x), reference::inverse(q, x), "q={q} {kind:?}");
+                    assert_eq!(g.inv_mul(x, y), g.mul(g.inverse(x), y), "q={q} {kind:?}");
+                    let raw = [next() as u64, next() as u64, next() as u64, next() as u64];
+                    assert_eq!(
+                        g.canonicalize(raw[0], raw[1], raw[2], raw[3]),
+                        reference::canonicalize(q, raw[0], raw[1], raw[2], raw[3]),
+                        "q={q} canonicalize{raw:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "q < 2^32")]
+    fn fields_beyond_native_width_are_rejected() {
+        ProjectiveGroup::new((1 << 32) + 15, ProjectiveKind::Pgl);
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //!   O(n²) memory, O(1) packed-row lookups; the right trade up to ~10⁴ routers
 //!   and the default there.
 //! * [`CayleyOracle`] — for vertex-transitive topologies (LPS over PGL₂/PSL₂,
-//!   Paley): **one** BFS ball from the identity element plus an O(1)
+//!   Paley): **one** BFS ball from the identity element, an O(1)
 //!   group-translation map `diff(u, v) = index(u⁻¹ · v)` supplied by the
-//!   algebraic layer. O(n) memory; distances and minimal-port sets are exact
-//!   because `d(u, v) = d(e, u⁻¹v)` in any Cayley graph. This is what unlocks
-//!   million-router LPS fabrics (a dense matrix there would need ~2 TB).
+//!   algebraic layer, and per-port generator labels: `2 + 4·radix` bytes per
+//!   vertex plus the translation's own tables. Distances and minimal-port sets are exact because
+//!   `d(u, v) = d(e, u⁻¹v)` in any Cayley graph; a routing decision costs one
+//!   translation plus table lookups. This is what unlocks million-router LPS
+//!   fabrics (a dense matrix there would need ~2 TB).
 //! * [`LandmarkOracle`] — for non-algebraic or symmetry-broken graphs
 //!   (Jellyfish, degraded post-fault topologies): a handful of pinned
 //!   farthest-point landmark BFS rows for ALT-style distance shortcuts, plus
@@ -261,10 +263,16 @@ pub type CayleyDiff = Box<dyn Fn(VertexId, VertexId) -> VertexId + Send + Sync>;
 /// In a Cayley graph, left-translation by `u⁻¹` is an automorphism mapping
 /// `u → identity` and `v → u⁻¹v`, so `d(u, v) = d(e, u⁻¹v)`: one BFS ball
 /// `d0[·] = d(e, ·)` from the identity answers every pair through the
-/// translation map. Minimal ports follow from the same identity applied to
-/// each neighbour: port `i` of `u` is minimal toward `v` iff
-/// `d0[diff(w_i, v)] + 1 = d0[diff(u, v)]`, which costs `radix + 1`
-/// translations per decision — constant-degree group arithmetic, no heap.
+/// translation map.
+///
+/// Minimal ports cost **one** translation per decision. Every port is
+/// labelled with its generator: port `i` of `v` leads to `v·s` where `s` is
+/// the identity's neighbour number `gen_of_port[v][i]`, and `port_of_gen` is
+/// the inverse permutation. Word length is inversion-invariant for a
+/// symmetric generator set, so `d(u·s, dst) = |dst⁻¹·u·s| = d0[r·s]` with
+/// `r = diff(dst, u)`: port `i` of `u` is minimal iff
+/// `d0[neighbors(r)[port_of_gen[r][gen_of_port[u][i]]]] + 1 = d0[r]`. The
+/// rest is table lookups — no heap, no per-neighbour group arithmetic.
 pub struct CayleyOracle {
     /// `d0[x] = d(identity, x)`, one BFS from the identity vertex.
     d0: Vec<u16>,
@@ -273,6 +281,13 @@ pub struct CayleyOracle {
     /// Exact maximum distance (vertex transitivity: `max d0` is the diameter
     /// of the reachable pairs).
     max_d: u16,
+    /// Degree of every vertex (the generator count); stride of the label tables.
+    radix: usize,
+    /// `gen_of_port[v * radix + i]`: position of `diff(v, neighbors(v)[i])`
+    /// among the identity's neighbours.
+    gen_of_port: Vec<u16>,
+    /// `port_of_gen[v * radix + s]`: the port of `v` labelled with generator `s`.
+    port_of_gen: Vec<u16>,
     /// Bytes held by the translation map's side tables (reported by the builder).
     aux_bytes: usize,
     diff: CayleyDiff,
@@ -284,27 +299,26 @@ impl std::fmt::Debug for CayleyOracle {
             .field("n", &self.d0.len())
             .field("identity", &self.identity)
             .field("max_d", &self.max_d)
+            .field("radix", &self.radix)
             .finish_non_exhaustive()
     }
 }
 
 impl CayleyOracle {
-    /// Sampled construction-time checks per call: vertices whose translation
-    /// identities are verified against the graph.
-    const VALIDATION_SAMPLES: usize = 64;
-
     /// Build from the graph, the identity vertex, and the translation map.
     ///
     /// `aux_bytes` is the resident size of whatever tables `diff` closes over
     /// (rank tables, vertex-matrix arrays), so [`PathOracle::memory_bytes`]
     /// reports the true footprint.
     ///
-    /// Construction BFSes once from `identity` and then *verifies the Cayley
-    /// identities on a deterministic vertex sample*: `diff(u, u)` must be the
-    /// identity, `diff` must stay in range, and every sampled vertex's
-    /// neighbours must sit exactly one step farther in the translated ball.
-    /// A mismatch returns [`OracleError::Inconsistent`] — the typed guard
-    /// against wiring a translation map to the wrong graph.
+    /// Construction BFSes once from `identity`, then labels every port of
+    /// every vertex with its generator, which *checks the Cayley identities on
+    /// every vertex and edge*: `diff(u, u)` must be the identity, every vertex
+    /// must have the identity's degree, and each vertex's neighbours must
+    /// translate to distinct neighbours of the identity. A mismatch returns
+    /// [`OracleError::Inconsistent`] — the typed guard against wiring a
+    /// translation map to the wrong graph; a degree beyond the `u16` label
+    /// space returns [`OracleError::RadixTooLarge`].
     pub fn new(
         g: &CsrGraph,
         identity: VertexId,
@@ -327,30 +341,58 @@ impl CayleyOracle {
             .max()
             .unwrap_or(0);
 
-        // Deterministic sample sweep: evenly spaced vertices, always including
-        // the identity.
-        let stride = (n / Self::VALIDATION_SAMPLES).max(1);
-        for u in std::iter::once(identity).chain((0..n).step_by(stride).map(|u| u as VertexId)) {
+        // The generators are the identity's neighbours; look them up by id.
+        let radix = g.degree(identity);
+        if radix > u16::MAX as usize {
+            return Err(OracleError::RadixTooLarge {
+                max_degree: radix,
+                max: u16::MAX as usize,
+            });
+        }
+        let mut generators: Vec<(VertexId, u16)> = g
+            .neighbors(identity)
+            .iter()
+            .enumerate()
+            .map(|(s, &v)| (v, s as u16))
+            .collect();
+        generators.sort_unstable();
+
+        let mut gen_of_port = vec![0u16; n * radix];
+        let mut port_of_gen = vec![u16::MAX; n * radix];
+        for u in 0..n as VertexId {
             let du = diff(u, u);
             if du != identity {
                 return Err(OracleError::Inconsistent(format!(
                     "diff({u}, {u}) = {du}, expected the identity {identity}"
                 )));
             }
-            for &w in g.neighbors(u) {
+            let nbrs = g.neighbors(u);
+            if nbrs.len() != radix {
+                return Err(OracleError::Inconsistent(format!(
+                    "vertex {u} has degree {} but the identity has {radix}; \
+                     a Cayley graph is regular",
+                    nbrs.len()
+                )));
+            }
+            let base = u as usize * radix;
+            for (i, &w) in nbrs.iter().enumerate() {
                 let t = diff(u, w);
-                if (t as usize) >= n {
+                let s = match generators.binary_search_by_key(&t, |&(v, _)| v) {
+                    Ok(j) => generators[j].1 as usize,
+                    Err(_) => {
+                        return Err(OracleError::Inconsistent(format!(
+                            "neighbour {w} of {u} translates to {t}, not a neighbour of the \
+                             identity; a Cayley translation must map edges to edges"
+                        )))
+                    }
+                };
+                if port_of_gen[base + s] != u16::MAX {
                     return Err(OracleError::Inconsistent(format!(
-                        "diff({u}, {w}) = {t} out of range ({n} vertices)"
+                        "two neighbours of {u} translate to the same generator {t}"
                     )));
                 }
-                if d0[t as usize] != 1 {
-                    return Err(OracleError::Inconsistent(format!(
-                        "neighbour {w} of {u} translates to distance {} from the identity; \
-                         a Cayley translation must map edges to edges",
-                        d0[t as usize]
-                    )));
-                }
+                gen_of_port[base + i] = s as u16;
+                port_of_gen[base + s] = i as u16;
             }
         }
 
@@ -358,6 +400,9 @@ impl CayleyOracle {
             d0,
             identity,
             max_d,
+            radix,
+            gen_of_port,
+            port_of_gen,
             aux_bytes,
             diff,
         })
@@ -373,9 +418,9 @@ impl CayleyOracle {
         self.d0[(self.diff)(from, to) as usize]
     }
 
-    /// Visit each minimal port of `current` toward `dst` in ascending order —
-    /// the same predicate shape as the dense matrix scan, evaluated through
-    /// the translation map.
+    /// Visit each minimal port of `current` toward `dst` in ascending order:
+    /// one translation `r = dst⁻¹·current`, then each port's generator `s`
+    /// is scored by `d0[r·s]`, read off `r`'s own labelled neighbours.
     #[inline]
     fn for_each_min_port(
         &self,
@@ -387,12 +432,18 @@ impl CayleyOracle {
         if current == dst {
             return;
         }
-        let d = self.d(current, dst);
+        let r = (self.diff)(dst, current);
+        let d = self.d0[r as usize];
         if d == UNREACHABLE_U16 {
             return;
         }
-        for (i, &w) in g.neighbors(current).iter().enumerate() {
-            if self.d(w, dst).saturating_add(1) == d {
+        let k = self.radix;
+        let labels = &self.gen_of_port[current as usize * k..][..k];
+        let ports_of_r = &self.port_of_gen[r as usize * k..][..k];
+        let r_nbrs = g.neighbors(r);
+        for (i, &s) in labels.iter().enumerate() {
+            let rs = r_nbrs[ports_of_r[s as usize] as usize];
+            if self.d0[rs as usize].saturating_add(1) == d {
                 f(i);
             }
         }
@@ -432,7 +483,7 @@ impl PathOracle for CayleyOracle {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.d0.len() * 2 + self.aux_bytes
+        (self.d0.len() + self.gen_of_port.len() + self.port_of_gen.len()) * 2 + self.aux_bytes
     }
 
     fn kind(&self) -> OracleKind {
@@ -861,6 +912,41 @@ mod tests {
         // And an out-of-range identity is rejected up front.
         let err = CayleyOracle::new(&g, 99, Box::new(|u, v| u ^ v), 0).unwrap_err();
         assert!(matches!(err, OracleError::Inconsistent(_)), "{err}");
+    }
+
+    /// Validation covers every vertex and edge: a translation that is wrong
+    /// only at vertex 5 of the 256-vertex hypercube — off any evenly spaced
+    /// 64-vertex sample (stride 4) — is rejected.
+    #[test]
+    fn cayley_oracle_rejects_translation_wrong_off_sample() {
+        let g = hypercube(8);
+        let wrong_at_5 = |u: VertexId, v: VertexId| if u == 5 { (u ^ v) ^ 3 } else { u ^ v };
+        let err = CayleyOracle::new(&g, 0, Box::new(wrong_at_5), 0).unwrap_err();
+        assert!(matches!(err, OracleError::Inconsistent(_)), "{err}");
+        assert!(format!("{err}").contains("5"), "{err}");
+        // The same map only wrong on neighbour translations (diff(5, 5) still
+        // the identity) is caught by the edge check.
+        let wrong_edges_at_5 = |u: VertexId, v: VertexId| {
+            if u == 5 && u != v {
+                (u ^ v) ^ 3
+            } else {
+                u ^ v
+            }
+        };
+        let err = CayleyOracle::new(&g, 0, Box::new(wrong_edges_at_5), 0).unwrap_err();
+        assert!(matches!(err, OracleError::Inconsistent(_)), "{err}");
+    }
+
+    /// `memory_bytes` counts the ball, both `u16` generator-label tables and
+    /// the builder-reported side tables.
+    #[test]
+    fn cayley_oracle_memory_counts_label_tables() {
+        let (_, oracle) = hypercube_cayley(4);
+        let (n, radix) = (16, 4);
+        assert_eq!(oracle.memory_bytes(), n * 2 + 2 * n * radix * 2);
+        let g = hypercube(4);
+        let with_aux = CayleyOracle::new(&g, 0, Box::new(|u, v| u ^ v), 1000).unwrap();
+        assert_eq!(with_aux.memory_bytes(), oracle.memory_bytes() + 1000);
     }
 
     #[test]

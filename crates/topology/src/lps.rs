@@ -159,8 +159,10 @@ impl LpsGraph {
     /// Build the O(n) exact path oracle that exploits this graph's Cayley
     /// structure: one BFS ball from the identity of `PGL₂`/`PSL₂(F_q)`, with
     /// `diff(u, v) = rank(mat(u)⁻¹ · mat(v))` ranked in closed form by
-    /// [`ProjectiveIndex`]. Memory is ~34 bytes/vertex instead of the dense
-    /// matrix's 2n bytes/vertex — the difference between ~37 MB and ~2 TB on a
+    /// [`ProjectiveIndex`], plus the oracle's two `u16` generator-label tables.
+    /// Memory is `34 + 4·(p + 1)` bytes/vertex (58 at radix 6: 32 for the
+    /// vertex matrices, 2 for the ball, 24 for the labels) instead of the dense
+    /// matrix's 2n bytes/vertex — the difference between ~63 MB and ~2 TB on a
     /// million-router fabric.
     pub fn cayley_oracle(&self) -> Result<CayleyOracle, OracleError> {
         let group = ProjectiveGroup::new(self.q, self.kind);
@@ -168,12 +170,13 @@ impl LpsGraph {
         let identity = index.index_of(group.identity()) as VertexId;
         let vertices = self.vertices.clone();
         // Side tables the translation closure keeps resident: the vertex
-        // matrices plus the ProjectiveIndex rank tables (O(q²)).
+        // matrices, the ProjectiveIndex rank tables (O(q²)) and the group's
+        // inverse table (O(q)).
         let aux_bytes = vertices.len() * std::mem::size_of::<ProjMat>()
-            + (self.q * self.q + self.q) as usize * std::mem::size_of::<u32>();
+            + (self.q * self.q + self.q) as usize * std::mem::size_of::<u32>()
+            + group.memory_bytes();
         let diff = move |u: VertexId, v: VertexId| -> VertexId {
-            let inv = group.inverse(vertices[u as usize]);
-            index.index_of(group.mul(inv, vertices[v as usize])) as VertexId
+            index.index_of(group.inv_mul(vertices[u as usize], vertices[v as usize])) as VertexId
         };
         CayleyOracle::new(&self.graph, identity, Box::new(diff), aux_bytes)
     }

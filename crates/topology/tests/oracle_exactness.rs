@@ -24,10 +24,14 @@ use spectralfly_graph::{CsrGraph, DistanceMatrix, LandmarkOracle, PathOracle};
 use spectralfly_topology::{JellyFishGraph, LpsGraph, PaleyGraph, Topology};
 
 /// All-pairs comparison of `oracle` against the dense BFS matrix on `g`:
-/// distances, packed minimal ports, and wide minimal ports must all agree.
+/// distances, packed minimal ports, and wide minimal ports must all agree,
+/// and both port lists must be ascending (the `minimal_ports_packed`
+/// contract). The packed path is skipped above the `u8` radix, where callers
+/// must use the wide one.
 fn assert_matches_dense(g: &CsrGraph, oracle: &dyn PathOracle, label: &str) {
     let dm = DistanceMatrix::from_graph(g);
     let n = g.num_vertices() as u32;
+    let packed = g.max_degree() <= u8::MAX as usize;
     let mut scratch = Vec::new();
     let mut wide = Vec::new();
     for u in 0..n {
@@ -38,12 +42,18 @@ fn assert_matches_dense(g: &CsrGraph, oracle: &dyn PathOracle, label: &str) {
                 "{label}: dist({u}, {v})"
             );
             let expect = dm.min_next_ports(g, u, v);
-            let got: Vec<usize> = oracle
-                .min_ports_u8(g, u, v, &mut scratch)
-                .iter()
-                .map(|&p| p as usize)
-                .collect();
-            assert_eq!(got, expect, "{label}: min_ports_u8({u}, {v})");
+            assert!(
+                expect.windows(2).all(|w| w[0] < w[1]),
+                "{label}: dense ports of ({u}, {v}) not ascending"
+            );
+            if packed {
+                let got: Vec<usize> = oracle
+                    .min_ports_u8(g, u, v, &mut scratch)
+                    .iter()
+                    .map(|&p| p as usize)
+                    .collect();
+                assert_eq!(got, expect, "{label}: min_ports_u8({u}, {v})");
+            }
             oracle.min_ports_into(g, u, v, &mut wide);
             assert_eq!(wide, expect, "{label}: min_ports_into({u}, {v})");
         }
@@ -72,6 +82,25 @@ fn lps_cayley_oracle_is_exact_on_both_projective_kinds() {
         let oracle = lps.cayley_oracle().expect("translation validates");
         assert_matches_dense(lps.graph(), &oracle, &format!("LPS({p},{q})"));
     }
+}
+
+/// LPS(5,13) — the fabric the benchmark's large-Cayley workload runs at its
+/// smoke scale — is exact through the generator-label query at every pair.
+#[test]
+fn lps_5_13_cayley_oracle_is_exact() {
+    let lps = LpsGraph::new(5, 13).expect("valid LPS parameters");
+    let oracle = lps.cayley_oracle().expect("translation validates");
+    assert_matches_dense(lps.graph(), &oracle, "LPS(5,13)");
+}
+
+/// Paley(521) has degree 260: generator labels and ports beyond `u8`, so the
+/// `u16` label tables and the wide query path carry every decision.
+#[test]
+fn paley_521_cayley_oracle_is_exact_beyond_u8_radix() {
+    let paley = PaleyGraph::new(521).expect("valid Paley parameter");
+    assert_eq!(paley.graph().regular_degree(), Some(260));
+    let oracle = paley.cayley_oracle().expect("translation validates");
+    assert_matches_dense(paley.graph(), &oracle, "Paley(521)");
 }
 
 /// Paley translation oracles are exact over prime and prime-power fields.

@@ -11,10 +11,13 @@ use spectralfly_graph::spectral::spectral_summary;
 use spectralfly_layout::wiring::DEFAULT_ELECTRICAL_LIMIT_M;
 use spectralfly_layout::{classify_links, latency_profile, place_topology, PowerModel, QapConfig};
 use spectralfly_simnet::workload::random_placement;
-use spectralfly_simnet::{RoutingAlgorithm, SimConfig, SimNetwork, Simulator, Workload};
+use spectralfly_simnet::{
+    OraclePolicy, RoutingAlgorithm, SimConfig, SimNetwork, Simulator, Workload,
+};
 use spectralfly_topology::spec::table1_size_classes;
-use spectralfly_topology::{GeneralizedDragonFly, LpsGraph, SlimFlyGraph, Topology};
+use spectralfly_topology::{GeneralizedDragonFly, LpsGraph, PaleyGraph, SlimFlyGraph, Topology};
 use spectralfly_workloads::{fft3d, halo3d_26, FftBalance, Grid3};
+use std::sync::Arc;
 
 /// Table I, first size class: every column has the right shape across all four topologies.
 #[test]
@@ -296,4 +299,30 @@ fn distance_helpers_agree_across_crates() {
     let dm = spectralfly::routing::DistanceMatrix::from_graph(lps.graph());
     assert_eq!(d1 as u16, dm.diameter().unwrap());
     assert!((m1 - dm.mean_distance().unwrap()).abs() < 1e-12);
+}
+
+/// Paley(521) has radix 260, past the packed `u8` ports, so every decision
+/// takes `best_minimal_port`'s wide-scratch branch. Routing it through the
+/// Cayley oracle's generator-label query must reproduce the dense oracle's
+/// simulation bit for bit (same port lists, same ascending tie order).
+#[test]
+fn wide_radix_cayley_routing_matches_dense() {
+    let paley = PaleyGraph::new(521).unwrap();
+    let dense = SimNetwork::with_policy(paley.graph().clone(), 1, OraclePolicy::Dense).unwrap();
+    let cayley = SimNetwork::with_oracle(
+        paley.graph().clone(),
+        1,
+        Arc::new(paley.cayley_oracle().unwrap()),
+    );
+    assert!(cayley.graph().max_degree() > u8::MAX as usize);
+    let wl = Workload::uniform_random(dense.num_endpoints(), 2, 1024, 5);
+    for algo in ["minimal", "ugal-l"] {
+        let cfg = SimConfig {
+            seed: 5,
+            ..SimConfig::default().with_routing(algo, dense.diameter() as u32)
+        };
+        let expect = Simulator::new(&dense, &cfg).run(&wl);
+        assert_eq!(expect.delivered_packets, 2 * 521, "{algo}");
+        assert_eq!(Simulator::new(&cayley, &cfg).run(&wl), expect, "{algo}");
+    }
 }
