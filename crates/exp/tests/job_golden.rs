@@ -138,3 +138,103 @@ fn jobless_runs_reproduce_pre_jobs_golden_digests() {
         drifted.join("\n")
     );
 }
+
+/// Jobs-mode golden digests `(scenario, sequential, parallel-2-shard)`.
+///
+/// The table above pins job-*less* runs; this one pins multi-tenant runs
+/// bit-exactly on both engines — tenant accounting included, since
+/// [`digest_results`] folds every tenant's counters, latencies and
+/// collective outcome. The battery covers the three tenant kinds the jobs
+/// driver executes (a ring allreduce, an alltoall and an open-loop
+/// adversarial traffic tenant) under minimal and UGAL-L routing, plus one
+/// link-churn run with no retransmission budget, where terminal packet loss
+/// stalls a collective chain. Recorded by this test itself (on drift it
+/// prints the full replacement table).
+const JOBS_GOLDEN: &[(&str, &str, &str)] = &[
+    ("jobs/minimal", "9becdc71e51d310c", "70d2ccd8c4a9d731"),
+    ("jobs/ugal-l", "70802edb4d57b523", "b33e074d5c88e312"),
+    ("churn/minimal", "1f0637f96d1bcd97", "4c447d91e5b86767"),
+];
+
+#[test]
+fn jobs_runs_reproduce_golden_digests() {
+    use spectralfly_simnet::FaultScript;
+
+    let net = SimNetwork::new(chordal_ring(12, &[(0, 6), (2, 9), (4, 10)]), 2);
+    let mix = "allreduce-ring(2048) x 8 + alltoall(2048) x 8 \
+               + traffic(0.6, adversarial(4), 2048) x 8";
+    let wl = Workload::uniform_random(net.num_endpoints(), 1, 256, 3);
+    let run = |cfg: &SimConfig| -> SimResults {
+        let res = if cfg.shards > 1 {
+            ParallelSimulator::new(&net, cfg).try_run_with_offered_load(&wl, 1.0)
+        } else {
+            Simulator::new(&net, cfg).try_run_with_offered_load(&wl, 1.0)
+        };
+        let res = res.expect("jobs run completes");
+        assert_eq!(res.tenants.len(), 3, "every tenant reports");
+        res
+    };
+
+    let mut actual: Vec<(String, String, String)> = Vec::new();
+    let mut record = |label: String, cfg: SimConfig| -> (SimResults, SimResults) {
+        let seq = run(&cfg);
+        let par = run(&cfg.clone().with_shards(2));
+        actual.push((label, digest_results(&seq), digest_results(&par)));
+        (seq, par)
+    };
+
+    for routing in ["minimal", "ugal-l"] {
+        let mut cfg = SimConfig::default()
+            .with_routing(routing, net.diameter() as u32)
+            .with_windows(MeasurementWindows::new(1_000_000, 8_000_000))
+            .with_jobs(mix);
+        cfg.seed = 0x70B5;
+        let (seq, par) = record(format!("jobs/{routing}"), cfg);
+        for res in [&seq, &par] {
+            for t in &res.tenants[..2] {
+                let out = t.collective.as_ref().expect("collective outcome");
+                assert!(out.completed, "{routing}/{}: collective stalled", t.name);
+            }
+        }
+    }
+
+    // Link churn with no retransmission budget: every drop is terminal, so
+    // some collective message is lost and its destination rank's chain stalls.
+    let mut cfg = SimConfig::default()
+        .with_routing("minimal", net.diameter() as u32)
+        .with_windows(MeasurementWindows::new(1_000_000, 8_000_000))
+        .with_jobs(mix)
+        .with_fault_script(
+            FaultScript::parse("churn(500khz, 4us)")
+                .unwrap()
+                .with_seed(5),
+        )
+        .with_retransmit_budget(0);
+    cfg.seed = 0x70B5;
+    let (seq, par) = record("churn/minimal".to_string(), cfg);
+    for res in [&seq, &par] {
+        assert!(res.faults.failed > 0, "churn must terminally fail a packet");
+        assert!(
+            res.tenants[..2]
+                .iter()
+                .any(|t| !t.collective.as_ref().unwrap().completed),
+            "terminal loss must stall a collective"
+        );
+    }
+
+    let table: Vec<String> = actual
+        .iter()
+        .map(|(id, seq, par)| format!("    (\"{id}\", \"{seq}\", \"{par}\"),"))
+        .collect();
+    let pinned: Vec<String> = JOBS_GOLDEN
+        .iter()
+        .map(|(id, seq, par)| format!("    (\"{id}\", \"{seq}\", \"{par}\"),"))
+        .collect();
+    assert_eq!(
+        pinned,
+        table,
+        "jobs runs drifted from the golden digests; if the drift is \
+         intended, the new table is:\n{}",
+        table.join("\n")
+    );
+}
