@@ -90,12 +90,24 @@ pub fn seed_from_args(default: u64) -> u64 {
 /// with that many worker threads — a performance knob, never a semantics knob:
 /// results are identical at every value.
 ///
-/// # Panics
-/// If zero is requested.
+/// Zero is a usage error: the binary prints it on stderr and exits with
+/// status 2.
 pub fn shards_from_args() -> usize {
     let shards = arg_u64("--shards", 1) as usize;
-    assert!(shards >= 1, "--shards must be at least 1");
+    if shards == 0 {
+        usage_error("--shards must be at least 1");
+    }
     shards
+}
+
+/// Report a bad command-line value as `<binary>: <msg>` on stderr and exit
+/// with status 2, before any work or output.
+fn usage_error(msg: &str) -> ! {
+    let arg0 = std::env::args().next().unwrap_or_default();
+    let path = std::path::Path::new(&arg0);
+    let bin = path.file_name().and_then(|n| n.to_str()).unwrap_or(&arg0);
+    eprintln!("{bin}: {msg}");
+    std::process::exit(2)
 }
 
 /// The path-oracle policy selected on the command line (`--oracle

@@ -64,7 +64,7 @@
 use spectralfly_bench::{append_entry, arg_u64, fmt};
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultPlan, FaultScript, ParallelSimulator, ReferenceSimulator, RoutingHarness, SimConfig,
+    try_simulate, FaultPlan, FaultScript, ReferenceSimulator, RoutingHarness, SimConfig,
     SimNetwork, SimResults, Simulator, Workload,
 };
 use spectralfly_topology::{LpsGraph, Topology};
@@ -150,11 +150,7 @@ fn time_sharded(
     };
     let cfg = cfg.clone().with_shards(shards);
     let t0 = Instant::now();
-    let res = if shards > 1 {
-        ParallelSimulator::new(net, &cfg).run_with_offered_load(wl, load)
-    } else {
-        Simulator::new(net, &cfg).run_with_offered_load(wl, load)
-    };
+    let res = try_simulate(net, &cfg, wl, Some(load)).unwrap_or_else(|e| panic!("{e}"));
     let run = finish_run(&name, true, t0.elapsed().as_secs_f64(), &res);
     (res, run)
 }

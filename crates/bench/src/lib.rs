@@ -18,8 +18,7 @@ use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::fault::AppliedFaults;
 use spectralfly_simnet::workload::{random_placement, Workload};
 use spectralfly_simnet::{
-    pattern, FaultError, FaultPlan, ParallelSimulator, SimConfig, SimError, SimNetwork, SimResults,
-    Simulator,
+    pattern, try_simulate, FaultError, FaultPlan, SimConfig, SimError, SimNetwork, SimResults,
 };
 use spectralfly_topology::{
     BundleFlyGraph, GeneralizedDragonFly, LpsGraph, SlimFlyGraph, Topology,
@@ -288,11 +287,7 @@ pub fn place_on_alive(net: &SimNetwork, ranks: usize, seed: u64) -> Vec<usize> {
 /// either way (the parallel engine is shard-count-invariant), so `--shards`
 /// is purely a wall-clock knob for the sweep drivers.
 pub fn run_workload(net: &SimNetwork, cfg: &SimConfig, wl: &Workload) -> SimResults {
-    if cfg.shards > 1 {
-        ParallelSimulator::new(net, cfg).run(wl)
-    } else {
-        Simulator::new(net, cfg).run(wl)
-    }
+    try_simulate(net, cfg, wl, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`run_workload`] for an offered-load point, through the fault-checked
@@ -304,11 +299,7 @@ pub fn try_run_offered_load(
     wl: &Workload,
     load: f64,
 ) -> Result<SimResults, SimError> {
-    if cfg.shards > 1 {
-        ParallelSimulator::new(net, cfg).try_run_with_offered_load(wl, load)
-    } else {
-        Simulator::new(net, cfg).try_run_with_offered_load(wl, load)
-    }
+    try_simulate(net, cfg, wl, Some(load))
 }
 
 /// [`sweep_offered_loads`] through the fault-checked entry point: each load

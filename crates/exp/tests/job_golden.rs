@@ -18,8 +18,7 @@
 use spectralfly_exp::digest_results;
 use spectralfly_graph::CsrGraph;
 use spectralfly_simnet::{
-    FaultPlan, MeasurementWindows, ParallelSimulator, SimConfig, SimNetwork, SimResults, Simulator,
-    Workload,
+    try_simulate, FaultPlan, MeasurementWindows, SimConfig, SimNetwork, SimResults, Workload,
 };
 
 fn chordal_ring(n: usize, chords: &[(u32, u32)]) -> CsrGraph {
@@ -79,22 +78,10 @@ fn jobless_runs_reproduce_pre_jobs_golden_digests() {
         let wl = Workload::uniform_random(net.num_endpoints(), 4, 2048, cfg.seed);
 
         let finite = |net: &SimNetwork, cfg: &SimConfig| -> SimResults {
-            if cfg.shards > 1 {
-                ParallelSimulator::new(net, cfg).run(&wl)
-            } else {
-                Simulator::new(net, cfg).run(&wl)
-            }
+            try_simulate(net, cfg, &wl, None).unwrap()
         };
         let offered = |net: &SimNetwork, cfg: &SimConfig| -> SimResults {
-            if cfg.shards > 1 {
-                ParallelSimulator::new(net, cfg)
-                    .try_run_with_offered_load(&wl, 0.4)
-                    .unwrap()
-            } else {
-                Simulator::new(net, cfg)
-                    .try_run_with_offered_load(&wl, 0.4)
-                    .unwrap()
-            }
+            try_simulate(net, cfg, &wl, Some(0.4)).unwrap()
         };
 
         // Finite, workload-paced.
@@ -165,12 +152,7 @@ fn jobs_runs_reproduce_golden_digests() {
                + traffic(0.6, adversarial(4), 2048) x 8";
     let wl = Workload::uniform_random(net.num_endpoints(), 1, 256, 3);
     let run = |cfg: &SimConfig| -> SimResults {
-        let res = if cfg.shards > 1 {
-            ParallelSimulator::new(&net, cfg).try_run_with_offered_load(&wl, 1.0)
-        } else {
-            Simulator::new(&net, cfg).try_run_with_offered_load(&wl, 1.0)
-        };
-        let res = res.expect("jobs run completes");
+        let res = try_simulate(&net, cfg, &wl, Some(1.0)).expect("jobs run completes");
         assert_eq!(res.tenants.len(), 3, "every tenant reports");
         res
     };

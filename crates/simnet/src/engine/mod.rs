@@ -35,17 +35,20 @@
 //! the type's documentation and DESIGN.md for the protocol.
 
 mod calendar;
+mod jobs;
 pub mod parallel;
 pub mod reference;
 
-use crate::config::SimConfig;
+use crate::config::{MeasurementWindows, SimConfig};
 use crate::fault::{FaultEvent, FaultEventKind, FaultTimeline};
-use crate::job::{CollectiveState, JobBehavior, MixPlan, MsgTag, RateProcess, RateRuntime};
+use crate::job::{JobCtx, MixPlan, MsgTag};
 use crate::network::SimNetwork;
+use crate::pattern::{PatternCtx, TrafficPattern};
 use crate::routing::{self, RouteScratch, Router, RoutingCtx, RoutingState};
 use crate::stats::{EngineCounters, FaultStats, IntervalSample, SimResults, StatsCollector};
 use crate::workload::{Phase, Workload};
 use calendar::{CalendarQueue, Timed};
+use jobs::JobsRuntime;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spectralfly_graph::csr::VertexId;
 use std::collections::VecDeque;
@@ -260,33 +263,39 @@ pub(crate) fn packetize_phase(
     sched
 }
 
-/// Record and recycle message slots whose last packet just delivered
-/// (steady-state mode): message latency is recorded if the first injection fell
-/// inside the measurement window, then the slot returns to the free list so
-/// long runs stay bounded by in-flight messages.
-fn drain_completed_messages(st: &mut EngineState, stats: &mut StatsCollector) {
-    while let Some(mi) = st.completed_msgs.pop() {
-        let first = st.msg_first_inject[mi];
-        let last = st.msg_last_delivery[mi];
-        let failed = st.msg_failed.get(mi).copied().unwrap_or(false);
-        if last != u64::MAX && !failed && stats.is_measured(first) {
-            stats.record_message(last.saturating_sub(first.min(last)));
-        }
-        st.msg_free.push(mi);
-    }
+/// The construction-time checks every engine makes: at least one VC and one
+/// buffer slot per VC, a registered routing algorithm (resolved here, once),
+/// and a config fault plan matching the network's.
+pub(crate) fn create_router(net: &SimNetwork, cfg: &SimConfig) -> Box<dyn Router> {
+    assert!(cfg.num_vcs >= 1, "need at least one virtual channel");
+    assert!(
+        cfg.buffer_packets_per_vc >= 1,
+        "need at least one buffer slot per VC"
+    );
+    let router = routing::create(&cfg.routing).unwrap_or_else(|| {
+        panic!(
+            "unknown routing algorithm {:?}; registered: {}",
+            cfg.routing,
+            routing::registered_names().join(", ")
+        )
+    });
+    crate::fault::check_config_plan(net, &cfg.faults);
+    router
 }
 
-/// Routing decision for packet `pi` currently at `router`: delegate to the
-/// configured [`Router`] behind a [`RoutingCtx`] snapshot of the engine state.
-/// Shared by both engines so a given queue state yields the same decision.
+/// Routing decision for a packet at `router` bound for `dst` after `hops`
+/// hops, carrying algorithm-owned `state`: delegate to the configured
+/// [`Router`] behind a [`RoutingCtx`] snapshot of the engine state. Shared by
+/// every engine so a given queue state yields the same decision.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn choose_port(
     net: &SimNetwork,
     cfg: &SimConfig,
     algo: &dyn Router,
-    packets: &mut [Packet],
-    pi: usize,
+    state: &mut RoutingState,
     router: VertexId,
+    dst: VertexId,
+    hops: u32,
     link_qlen: &[u32],
     occupancy: &[u32],
     router_occ: &[u32],
@@ -294,9 +303,6 @@ pub(crate) fn choose_port(
     rng: &mut dyn rand::RngCore,
     scratch: &mut RouteScratch,
 ) -> usize {
-    // Detach the packet's routing state so the context can borrow the rest of the
-    // engine state immutably while the algorithm mutates its own state.
-    let mut state = std::mem::take(&mut packets[pi].routing);
     let mut ctx = RoutingCtx::new(
         net,
         link_qlen,
@@ -306,12 +312,12 @@ pub(crate) fn choose_port(
         cfg.num_vcs,
         cfg.ugal_threshold,
         router,
-        packets[pi].dst_router,
-        packets[pi].hops,
+        dst,
+        hops,
         rng,
         scratch,
     );
-    let port = algo.route(&mut ctx, &mut state);
+    let port = algo.route(&mut ctx, state);
     // Hard assert (not debug_assert): Router is a third-party extension point, and
     // an out-of-range port would otherwise silently index into the next router's
     // link range and corrupt the run far from the buggy decision.
@@ -320,7 +326,6 @@ pub(crate) fn choose_port(
         "router {} returned out-of-range port {port} at router {router}",
         algo.name()
     );
-    packets[pi].routing = state;
     port
 }
 
@@ -345,6 +350,246 @@ impl AliveEndpoints {
     }
 }
 
+/// A steady run's live destination pattern
+/// ([`MeasurementWindows::pattern`]). On a degraded network it runs over the
+/// *surviving* machine (`alive`): its endpoint space is the alive endpoints,
+/// and only those inject. Pristine networks skip the mapping entirely.
+pub(crate) struct LivePattern {
+    pattern: Box<dyn TrafficPattern>,
+    alive: Option<AliveEndpoints>,
+    /// The pattern's endpoint space.
+    space: usize,
+}
+
+impl LivePattern {
+    /// Whether endpoint `e` may inject (it is alive).
+    fn injects(&self, e: usize) -> bool {
+        self.alive.as_ref().is_none_or(|m| m.rank[e] != u32::MAX)
+    }
+
+    /// Draw the destination endpoint of a message from `src`: the source's
+    /// rank goes in, the drawn rank is mapped back to a physical endpoint.
+    fn dst(&self, src: usize, rng: &mut StdRng) -> usize {
+        let src_rank = self.alive.as_ref().map_or(src, |m| m.rank[src] as usize);
+        let drawn = self.pattern.dst(src_rank, rng);
+        // Hard assert (not debug_assert): TrafficPattern is a third-party
+        // extension point, and an out-of-range destination would otherwise
+        // index past the endpoint map far from the buggy draw.
+        assert!(
+            drawn < self.space,
+            "pattern {} returned out-of-range destination {drawn} (pattern space has {} endpoints)",
+            self.pattern.name(),
+            self.space
+        );
+        self.alive.as_ref().map_or(drawn, |m| m.alive[drawn])
+    }
+}
+
+/// Exponential inter-arrival gap for a message of `bytes` at `load` of the
+/// endpoint injection bandwidth.
+fn exp_gap(cfg: &SimConfig, bytes: u64, load: f64, rng: &mut StdRng) -> u64 {
+    let ser = cfg.injection_serialization_ps(bytes) as f64;
+    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+    (-u.ln() * ser / load) as u64
+}
+
+/// Expand the configured fault script against the (possibly statically
+/// degraded) topology, or `None` when no script is configured. The runtime
+/// machinery is enabled whenever a script is present — even one whose
+/// expansion drew no events — so the fault statistics (including the
+/// conservation identity) are populated for every scripted run.
+fn fault_timeline(
+    net: &SimNetwork,
+    cfg: &SimConfig,
+    horizon_ps: u64,
+) -> Result<Option<Arc<FaultTimeline>>, SimError> {
+    if cfg.fault_script.is_none() {
+        return Ok(None);
+    }
+    let tl = cfg.fault_script.expand(net.graph(), horizon_ps)?;
+    Ok(Some(Arc::new(tl)))
+}
+
+/// How a run proceeds, once [`resolve_run`] has checked its preconditions.
+pub(crate) enum RunMode<'c> {
+    /// Drain the workload to empty (Poisson-spaced under an offered load).
+    Finite { offered_load: Option<f64> },
+    /// Continuous per-endpoint Poisson sources with windowed measurement;
+    /// destinations come from `pattern` when one is configured, from the
+    /// workload templates otherwise.
+    Steady {
+        offered_load: f64,
+        w: &'c MeasurementWindows,
+        pattern: Option<LivePattern>,
+    },
+    /// The multi-tenant mix of [`SimConfig::jobs`] under windowed
+    /// measurement, resolved once over the alive endpoints (deterministic in
+    /// the seed, so every engine and shard count executes the identical plan).
+    Jobs {
+        offered_load: f64,
+        w: &'c MeasurementWindows,
+        plan: MixPlan,
+    },
+}
+
+/// The front door of every engine's `try_run*`: pick the run mode from the
+/// config and the offered load (`None` = workload-paced), make every
+/// precondition check and fault validation once, and expand the fault script
+/// over the mode's horizon. Infeasible runs on a degraded network come back
+/// as typed [`SimError::Fault`]s before any simulation work; malformed
+/// inputs (a load outside `(0, 1]`, jobs without windows, an unknown pattern
+/// or mix, out-of-range workload endpoints) panic.
+pub(crate) fn resolve_run<'c>(
+    net: &SimNetwork,
+    cfg: &'c SimConfig,
+    workload: &Workload,
+    offered_load: Option<f64>,
+) -> Result<(RunMode<'c>, Option<Arc<FaultTimeline>>), SimError> {
+    if let Some(load) = offered_load {
+        assert!(load > 0.0 && load <= 1.0, "offered load must be in (0, 1]");
+    }
+    let check_endpoints = || {
+        if let Some(max_ep) = workload.max_endpoint() {
+            assert!(
+                max_ep < net.num_endpoints(),
+                "workload references endpoint {max_ep} but the network has only {}",
+                net.num_endpoints()
+            );
+        }
+    };
+    let (mode, horizon) = match (offered_load, &cfg.windows) {
+        (Some(offered_load), Some(w)) => {
+            if let Some(mix) = cfg.jobs.as_deref() {
+                // Jobs mode supersedes both the workload templates and the
+                // live destination pattern: tenants draw their own traffic.
+                // Placement needs every surviving router reachable, exactly
+                // like a live pattern.
+                if net.has_faults() {
+                    crate::fault::validate_steady_pattern(net)?;
+                }
+                let plan =
+                    crate::job::resolve_mix(mix, &JobCtx::new(), &net.alive_endpoints(), cfg.seed)
+                        .unwrap_or_else(|e| panic!("{e}"));
+                let mode = RunMode::Jobs {
+                    offered_load,
+                    w,
+                    plan,
+                };
+                (mode, w.deadline_ps())
+            } else {
+                if net.has_faults() {
+                    if w.pattern.is_some() {
+                        crate::fault::validate_steady_pattern(net)?;
+                    } else {
+                        crate::fault::validate_workload(net, workload)?;
+                    }
+                }
+                check_endpoints();
+                // Resolve the destination pattern once, up front — an unknown
+                // spec fails loudly before any simulation work, mirroring
+                // unknown routing names.
+                let pattern = w.pattern.as_deref().map(|spec| {
+                    let alive = net.has_faults().then(|| AliveEndpoints::new(net));
+                    let n = alive
+                        .as_ref()
+                        .map_or(net.num_endpoints(), |m| m.alive.len());
+                    let pattern = crate::pattern::create(spec, &PatternCtx::new(n))
+                        .unwrap_or_else(|e| panic!("{e}"));
+                    LivePattern {
+                        pattern,
+                        alive,
+                        space: n,
+                    }
+                });
+                let mode = RunMode::Steady {
+                    offered_load,
+                    w,
+                    pattern,
+                };
+                (mode, w.deadline_ps())
+            }
+        }
+        _ => {
+            assert!(
+                cfg.jobs.is_none(),
+                "SimConfig::jobs requires steady-state measurement windows \
+                 (SimConfig::with_windows)"
+            );
+            if net.has_faults() {
+                crate::fault::validate_workload(net, workload)?;
+            }
+            check_endpoints();
+            (RunMode::Finite { offered_load }, cfg.fault_horizon_ps())
+        }
+    };
+    Ok((mode, fault_timeline(net, cfg, horizon)?))
+}
+
+/// Turn a drained run's undelivered packets into a diagnosis: a cyclic
+/// head-of-line wait (links still parked) is a typed [`SimError::Deadlock`];
+/// anything else is an engine bug and panics.
+fn undelivered_error(
+    undelivered: u64,
+    parked: usize,
+    in_queues: usize,
+    pending: usize,
+    occ: u32,
+) -> SimError {
+    assert!(
+        parked > 0,
+        "simulation ended with {undelivered} undelivered packets \
+         (link queues: {in_queues}, pending injections: {pending}, \
+         occupancy sum: {occ}) — engine invariant violated"
+    );
+    SimError::Deadlock {
+        diagnosis: format!(
+            "simulation deadlocked with {undelivered} undelivered packets and \
+             {parked} links parked in a cyclic head-of-line wait (link queues: \
+             {in_queues}, pending injections: {pending}, occupancy sum: {occ}); \
+             single-FIFO link queues can deadlock across virtual channels when \
+             buffer_packets_per_vc is very small — increase it"
+        ),
+    }
+}
+
+/// Run `wl` on the engine [`SimConfig::shards`] selects: the sequential
+/// [`Simulator`] for one shard, the [`parallel::ParallelSimulator`] for more
+/// (results are identical across shard counts of the parallel engine).
+/// `load = None` is [`Simulator::try_run`], `Some(load)` is
+/// [`Simulator::try_run_with_offered_load`].
+pub fn try_simulate(
+    net: &SimNetwork,
+    cfg: &SimConfig,
+    wl: &Workload,
+    load: Option<f64>,
+) -> Result<SimResults, SimError> {
+    if cfg.shards > 1 {
+        parallel::ParallelSimulator::new(net, cfg).run_mode(wl, load)
+    } else {
+        Simulator::new(net, cfg).run_mode(wl, load)
+    }
+}
+
+/// What an engine supplies to the engine-independent traffic sources: the
+/// steady-state [`Source`]s and the jobs runtime ([`jobs::JobsRuntime`]).
+pub(crate) trait Injector {
+    /// Inject one message of `bytes` from `src_ep` to `dst_ep`, its first
+    /// packet entering the network at `t`. Template and pattern traffic is
+    /// [`UNTAGGED`]; jobs-mode messages carry their tenant's tag. Returns the
+    /// time the NIC is free again, after the last packet's serialization.
+    fn inject(&mut self, t: u64, src_ep: usize, dst_ep: usize, bytes: u64, tag: MsgTag) -> u64;
+
+    /// Schedule source `source`, which sits on `endpoint`, to arrive at `t`.
+    fn schedule_arrival(&mut self, t: u64, source: u32, endpoint: usize);
+}
+
+/// The tag of template and pattern traffic: no tenant.
+pub(crate) const UNTAGGED: MsgTag = MsgTag {
+    tenant: u32::MAX,
+    dst_rank: 0,
+    round: u32::MAX,
+};
+
 /// A continuous Poisson source (steady-state mode): one per sending endpoint,
 /// cycling through that endpoint's workload messages.
 struct Source {
@@ -356,21 +601,84 @@ struct Source {
     nic_free_ps: u64,
 }
 
-/// A jobs-mode open-loop source: one per rank of every open-loop tenant,
-/// driving that tenant's [`RateProcess`] from a dedicated per-endpoint RNG
-/// (see [`crate::job`]'s `source_rng`) so the sharded engine reproduces the
-/// identical arrival and destination streams shard-locally.
-struct JSource {
-    endpoint: usize,
-    tenant: u32,
-    rank: u32,
-    bytes: u64,
-    /// NIC serialization of one message at full injection bandwidth — the
-    /// rate process's time base.
-    ser_ps: u64,
-    rate: RateProcess,
-    rt: RateRuntime,
-    rng: StdRng,
+impl Source {
+    /// The sources of `workload` on the endpoints `owns` accepts, in endpoint
+    /// order: one per endpoint with at least one message, alive endpoints
+    /// only under a live pattern. Phases are flattened: steady-state
+    /// measurement is an open-loop experiment, not a bulk-synchronous
+    /// application run.
+    fn all(
+        net: &SimNetwork,
+        workload: &Workload,
+        pattern: Option<&LivePattern>,
+        owns: impl Fn(usize) -> bool,
+    ) -> Vec<Source> {
+        let mut templates: Vec<Vec<(usize, u64)>> = vec![Vec::new(); net.num_endpoints()];
+        for m in workload.phases.iter().flat_map(|p| &p.messages) {
+            templates[m.src].push((m.dst, m.bytes));
+        }
+        templates
+            .into_iter()
+            .enumerate()
+            .filter(|(e, t)| !t.is_empty() && pattern.is_none_or(|p| p.injects(*e)) && owns(*e))
+            .map(|(endpoint, templates)| Source {
+                endpoint,
+                templates,
+                next_template: 0,
+                nic_free_ps: 0,
+            })
+            .collect()
+    }
+
+    /// Schedule source `si`'s first Poisson arrival.
+    fn start(
+        &self,
+        inj: &mut impl Injector,
+        cfg: &SimConfig,
+        si: usize,
+        load: f64,
+        w: &MeasurementWindows,
+        rng: &mut StdRng,
+    ) {
+        let gap = exp_gap(cfg, self.templates[0].1, load, rng);
+        if gap < w.measure_end_ps() {
+            inj.schedule_arrival(gap, si as u32, self.endpoint);
+        }
+    }
+
+    /// One arrival of source `si` at `now`: inject the next template message
+    /// through the NIC and schedule the next arrival. With a destination
+    /// `pattern` configured, the destination is drawn live from it (one draw
+    /// per message); the template cycle still supplies the size, so workloads
+    /// keep controlling *how much* each endpoint sends while the pattern
+    /// controls *where to*. `rng` is drawn in a fixed order: pattern, then
+    /// gap.
+    #[allow(clippy::too_many_arguments)]
+    fn arrive(
+        &mut self,
+        inj: &mut impl Injector,
+        cfg: &SimConfig,
+        si: usize,
+        now: u64,
+        load: f64,
+        w: &MeasurementWindows,
+        pattern: Option<&LivePattern>,
+        rng: &mut StdRng,
+    ) {
+        let (mut dst, bytes) = self.templates[self.next_template % self.templates.len()];
+        self.next_template += 1;
+        if let Some(p) = pattern {
+            dst = p.dst(self.endpoint, rng);
+        }
+        let t = now.max(self.nic_free_ps);
+        self.nic_free_ps = inj.inject(t, self.endpoint, dst, bytes, UNTAGGED);
+        // Next arrival of the (open-loop) Poisson process, measured from this
+        // arrival; sources fall silent at the end of the measurement window.
+        let next = now + exp_gap(cfg, bytes, load, rng);
+        if next < w.measure_end_ps() {
+            inj.schedule_arrival(next, si as u32, self.endpoint);
+        }
+    }
 }
 
 /// Shared runtime-liveness state for fault-script runs: which directed links
@@ -435,6 +743,66 @@ impl FaultRuntime {
         ca != u32::MAX && ca == self.comp[b as usize]
     }
 
+    /// Why a packet from router `src` to router `dst` must drop at its NIC:
+    /// an endpoint router is down, or no alive path joins the two.
+    pub fn inject_drop(&self, src: VertexId, dst: VertexId) -> Option<DropReason> {
+        if self.router_dead(src) || self.router_dead(dst) {
+            Some(DropReason::RouterDown)
+        } else if !self.reachable(src, dst) {
+            Some(DropReason::NoRoute)
+        } else {
+            None
+        }
+    }
+
+    /// Why a packet resident at `router` after `hops` hops must drop instead
+    /// of heading for `target`: it exceeded the detour TTL, or no alive path
+    /// can exist (drop now instead of wandering).
+    pub fn transit_drop(
+        &self,
+        hops: u32,
+        router: VertexId,
+        target: VertexId,
+    ) -> Option<DropReason> {
+        if hops >= self.ttl {
+            Some(DropReason::TtlExceeded)
+        } else if !self.reachable(router, target) {
+            Some(DropReason::NoRoute)
+        } else {
+            None
+        }
+    }
+
+    /// The link a packet at `router` takes toward `target` when its routing
+    /// choice is dead: the best alive port, greedy on static distance and
+    /// RNG-free, so the engines' decision streams are not perturbed. `via` is
+    /// the link the packet arrived on (U-turn avoidance); `hops` and
+    /// `attempts` salt the tie-break. `None` when every port toward the
+    /// target is dead.
+    pub fn detour_link(
+        &self,
+        net: &SimNetwork,
+        router: VertexId,
+        target: VertexId,
+        via: u32,
+        hops: u32,
+        attempts: u32,
+    ) -> Option<usize> {
+        let prev = (via != u32::MAX).then(|| net.link_owner(via as usize).0);
+        let salt = hops.wrapping_add(attempts.wrapping_mul(31));
+        routing::best_alive_port(net, router, target, prev, salt, |l| {
+            if !self.link_alive(l) {
+                return false;
+            }
+            // Static distance can point into a component the damage has cut
+            // off from the target — require the next hop to share the
+            // target's alive component.
+            let (r, p) = net.link_owner(l);
+            self.reachable(net.link_target(r, p), target)
+        })
+        .map(|p| net.link_id(router, p))
+    }
+
     /// Mark one directed link down, recording the transition time and
     /// returning whether this was an up→down edge (first down).
     fn down_link(&mut self, link: usize, now: u64, newly: &mut Vec<usize>) {
@@ -496,18 +864,26 @@ impl FaultRuntime {
         newly
     }
 
-    /// Apply timeline entries `[0, upto)` as pure mask flips (no queue
-    /// flushing — used to reconstruct the liveness state at a phase boundary,
-    /// where no packets exist yet). Returns the index of the first entry still
-    /// to be scheduled as a live event.
-    pub fn fast_forward(&mut self, net: &SimNetwork, start_ps: u64) -> usize {
-        let timeline = Arc::clone(&self.timeline);
+    /// Arm a liveness view over `timeline`. A finite phase starting at
+    /// `Some(phase_start)` begins fast-forwarded to that boundary: entries up
+    /// to it apply as pure mask flips (no queue flushing — no packets exist
+    /// yet). A steady run (`None`) schedules every entry as a live event.
+    /// Returns the runtime and the first entry still to schedule live, as
+    /// `(time, index)`.
+    pub fn arm(
+        net: &SimNetwork,
+        timeline: &Arc<FaultTimeline>,
+        phase_start: Option<u64>,
+    ) -> (Box<Self>, Option<(u64, u32)>) {
+        let mut fr = Box::new(FaultRuntime::new(net, Arc::clone(timeline)));
         let mut idx = 0;
-        while idx < timeline.events.len() && timeline.events[idx].time_ps <= start_ps {
-            self.apply(net, &timeline.events[idx], timeline.events[idx].time_ps);
+        let events = &timeline.events;
+        while idx < events.len() && phase_start.is_some_and(|t| events[idx].time_ps <= t) {
+            fr.apply(net, &events[idx], events[idx].time_ps);
             idx += 1;
         }
-        idx
+        let first = events.get(idx).map(|e| (e.time_ps, idx as u32));
+        (fr, first)
     }
 
     /// Recompute alive-component labels: one BFS sweep over the alive
@@ -576,14 +952,13 @@ struct EngineState {
     seq: u64,
     msg_packets_left: Vec<u32>,
     msg_first_inject: Vec<u64>,
-    msg_last_delivery: Vec<u64>,
-    /// Message slots recycled by the steady-state loop (finite runs never free).
+    /// Message slots recycled by the steady-state loops (finite runs never free).
     msg_free: Vec<usize>,
-    /// Messages whose last packet just delivered, awaiting the steady-state
-    /// loop's record-and-recycle drain (unused in finite runs).
-    completed_msgs: Vec<usize>,
-    /// Whether `enter_router` should report completions into `completed_msgs`.
-    track_completions: bool,
+    /// Whether completed message slots return to `msg_free`.
+    recycle_msgs: bool,
+    /// Collective messages fully delivered during the current event, handed
+    /// to the jobs runtime after it (empty unless [`SimConfig::jobs`] is set).
+    jobs_completed: Vec<(MsgTag, u64)>,
     phase_end: u64,
     /// Running delivery totals (all packets), for the time-series samples.
     delivered_packets_total: u64,
@@ -630,10 +1005,9 @@ impl EngineState {
             seq: 0,
             msg_packets_left: Vec::new(),
             msg_first_inject: Vec::new(),
-            msg_last_delivery: Vec::new(),
             msg_free: Vec::new(),
-            completed_msgs: Vec::new(),
-            track_completions: false,
+            recycle_msgs: false,
+            jobs_completed: Vec::new(),
             phase_end: phase_start,
             delivered_packets_total: 0,
             delivered_bytes_total: 0,
@@ -654,6 +1028,23 @@ impl EngineState {
             seq: self.seq,
             kind,
         });
+    }
+
+    /// Arm the fault runtime for a configured script (see
+    /// [`FaultRuntime::arm`]) and chain its first live event.
+    fn arm_faults(
+        &mut self,
+        net: &SimNetwork,
+        timeline: &Option<Arc<FaultTimeline>>,
+        phase_start: Option<u64>,
+    ) {
+        if let Some(tl) = timeline {
+            let (fr, first) = FaultRuntime::arm(net, tl, phase_start);
+            if let Some((t, idx)) = first {
+                self.push(t, EventKind::Fault { idx });
+            }
+            self.fault = Some(fr);
+        }
     }
 
     /// Enqueue a packet on a link's output queue, keeping the flat depth mirror
@@ -742,6 +1133,71 @@ pub struct Simulator<'a> {
     router: Box<dyn Router>,
 }
 
+/// The sequential engine's [`Injector`]: messages go through the packet
+/// arena, arrivals are sequenced calendar events.
+struct SeqInjector<'s, 'a> {
+    sim: &'s Simulator<'a>,
+    st: &'s mut EngineState,
+    stats: &'s mut StatsCollector,
+}
+
+impl Injector for SeqInjector<'_, '_> {
+    fn inject(&mut self, mut t: u64, src_ep: usize, dst_ep: usize, bytes: u64, tag: MsgTag) -> u64 {
+        let SeqInjector { sim, st, stats } = self;
+        let segments = segment_message(sim.cfg, bytes);
+        // Message slots are recycled on completion, so long runs stay bounded
+        // by in-flight messages, mirroring the packet arena.
+        let mi = match st.msg_free.pop() {
+            Some(i) => {
+                st.msg_packets_left[i] = segments.len() as u32;
+                st.msg_first_inject[i] = t;
+                st.msg_failed[i] = false;
+                i
+            }
+            None => {
+                st.msg_packets_left.push(segments.len() as u32);
+                st.msg_first_inject.push(t);
+                st.msg_failed.push(false);
+                st.msg_packets_left.len() - 1
+            }
+        };
+        if tag.tenant != u32::MAX {
+            if mi == st.msg_tag.len() {
+                st.msg_tag.push(tag);
+            } else {
+                st.msg_tag[mi] = tag;
+            }
+            stats.note_tenant_injection(tag.tenant, bytes, t);
+        }
+        for (pkt_bytes, nic_ser) in segments {
+            let packet = Packet {
+                src_router: sim.net.router_of_endpoint(src_ep),
+                dst_router: sim.net.router_of_endpoint(dst_ep),
+                bytes: pkt_bytes,
+                inject_time_ps: t,
+                hops: 0,
+                routing: RoutingState::default(),
+                msg: mi,
+                via_link: u32::MAX,
+                attempts: 0,
+                first_drop_ps: u64::MAX,
+            };
+            let pi = st.alloc_packet(packet);
+            if st.fault.is_some() {
+                st.fstats.injected += 1;
+            }
+            stats.note_injection(t);
+            st.push(t, EventKind::Inject { packet: pi as u32 });
+            t += nic_ser;
+        }
+        t
+    }
+
+    fn schedule_arrival(&mut self, t: u64, source: u32, _endpoint: usize) {
+        self.st.push(t, EventKind::NextMessage { source });
+    }
+}
+
 impl<'a> Simulator<'a> {
     /// Create a simulator over a network with a configuration.
     ///
@@ -749,19 +1205,7 @@ impl<'a> Simulator<'a> {
     /// If `cfg.routing` does not name a registered routing algorithm
     /// (see [`crate::routing`]).
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
-        assert!(cfg.num_vcs >= 1, "need at least one virtual channel");
-        assert!(
-            cfg.buffer_packets_per_vc >= 1,
-            "need at least one buffer slot per VC"
-        );
-        let router = routing::create(&cfg.routing).unwrap_or_else(|| {
-            panic!(
-                "unknown routing algorithm {:?}; registered: {}",
-                cfg.routing,
-                routing::registered_names().join(", ")
-            )
-        });
-        crate::fault::check_config_plan(net, &cfg.faults);
+        let router = create_router(net, cfg);
         Simulator { net, cfg, router }
     }
 
@@ -788,15 +1232,7 @@ impl<'a> Simulator<'a> {
     /// [`SimError::Deadlock`]. On pristine networks without a fault script
     /// this never errs.
     pub fn try_run(&self, workload: &Workload) -> Result<SimResults, SimError> {
-        assert!(
-            self.cfg.jobs.is_none(),
-            "SimConfig::jobs requires steady-state measurement windows \
-             (SimConfig::with_windows)"
-        );
-        if self.net.has_faults() {
-            crate::fault::validate_workload(self.net, workload)?;
-        }
-        self.run_finite(workload, None)
+        self.run_mode(workload, None)
     }
 
     /// Run the workload with Poisson-spaced injections corresponding to an offered load in
@@ -837,56 +1273,31 @@ impl<'a> Simulator<'a> {
         workload: &Workload,
         offered_load: f64,
     ) -> Result<SimResults, SimError> {
-        assert!(
-            offered_load > 0.0 && offered_load <= 1.0,
-            "offered load must be in (0, 1]"
-        );
-        match &self.cfg.windows {
-            None => {
-                assert!(
-                    self.cfg.jobs.is_none(),
-                    "SimConfig::jobs requires steady-state measurement windows \
-                     (SimConfig::with_windows)"
-                );
-                if self.net.has_faults() {
-                    crate::fault::validate_workload(self.net, workload)?;
-                }
-                self.run_finite(workload, Some(offered_load))
-            }
-            Some(w) => {
-                if self.cfg.jobs.is_some() {
-                    // Jobs mode supersedes both the workload templates and the
-                    // live destination pattern: tenants draw their own traffic.
-                    // Placement needs every surviving router reachable, exactly
-                    // like a live pattern.
-                    if self.net.has_faults() {
-                        crate::fault::validate_steady_pattern(self.net)?;
-                    }
-                    return self.run_steady_jobs(offered_load, w);
-                }
-                if self.net.has_faults() {
-                    if w.pattern.is_some() {
-                        crate::fault::validate_steady_pattern(self.net)?;
-                    } else {
-                        crate::fault::validate_workload(self.net, workload)?;
-                    }
-                }
-                self.run_steady(workload, offered_load, w)
-            }
-        }
+        self.run_mode(workload, Some(offered_load))
     }
 
-    /// Expand the configured fault script against the (possibly statically
-    /// degraded) topology, or `None` when no script is configured. The runtime
-    /// machinery is enabled whenever a script is present — even one whose
-    /// expansion drew no events — so the fault statistics (including the
-    /// conservation identity) are populated for every scripted run.
-    fn fault_timeline(&self, horizon_ps: u64) -> Result<Option<Arc<FaultTimeline>>, SimError> {
-        if self.cfg.fault_script.is_none() {
-            return Ok(None);
-        }
-        let tl = self.cfg.fault_script.expand(self.net.graph(), horizon_ps)?;
-        Ok(Some(Arc::new(tl)))
+    /// Resolve the run mode ([`resolve_run`]) and run it.
+    pub(crate) fn run_mode(
+        &self,
+        workload: &Workload,
+        offered_load: Option<f64>,
+    ) -> Result<SimResults, SimError> {
+        let (mode, timeline) = resolve_run(self.net, self.cfg, workload, offered_load)?;
+        Ok(match mode {
+            RunMode::Finite { offered_load } => {
+                return self.run_finite(workload, offered_load, &timeline)
+            }
+            RunMode::Steady {
+                offered_load,
+                w,
+                pattern,
+            } => self.run_windowed(workload, offered_load, w, pattern.as_ref(), None, &timeline),
+            RunMode::Jobs {
+                offered_load,
+                w,
+                plan,
+            } => self.run_windowed(workload, offered_load, w, None, Some(&plan), &timeline),
+        })
     }
 
     /// Finite drain-to-empty run (the legacy semantics) on the wakeup engine.
@@ -894,15 +1305,8 @@ impl<'a> Simulator<'a> {
         &self,
         workload: &Workload,
         offered_load: Option<f64>,
+        timeline: &Option<Arc<FaultTimeline>>,
     ) -> Result<SimResults, SimError> {
-        if let Some(max_ep) = workload.max_endpoint() {
-            assert!(
-                max_ep < self.net.num_endpoints(),
-                "workload references endpoint {max_ep} but the network has only {}",
-                self.net.num_endpoints()
-            );
-        }
-        let timeline = self.fault_timeline(self.cfg.fault_horizon_ps())?;
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut stats = StatsCollector::default();
         let mut faults = FaultStats::default();
@@ -924,22 +1328,16 @@ impl<'a> Simulator<'a> {
             st.packets = sched.packets;
             st.msg_packets_left = sched.msg_packets_left;
             st.msg_first_inject = sched.msg_first_inject;
-            st.msg_last_delivery = vec![u64::MAX; phase.messages.len()];
             st.msg_failed = vec![false; phase.messages.len()];
             for &pi in &sched.injections {
                 let t = st.packets[pi].inject_time_ps;
                 st.push(t, EventKind::Inject { packet: pi as u32 });
             }
-            if let Some(tl) = &timeline {
-                // Each phase gets a fresh liveness view fast-forwarded to the
-                // phase boundary (mask flips only — no packets exist yet), then
-                // chains live fault events from the first entry still ahead.
-                let mut fr = Box::new(FaultRuntime::new(self.net, Arc::clone(tl)));
-                let idx = fr.fast_forward(self.net, phase_start);
-                if idx < tl.events.len() {
-                    st.push(tl.events[idx].time_ps, EventKind::Fault { idx: idx as u32 });
-                }
-                st.fault = Some(fr);
+            // Each phase gets a fresh liveness view fast-forwarded to the
+            // phase boundary (mask flips only — no packets exist yet), then
+            // chains live fault events from the first entry still ahead.
+            st.arm_faults(self.net, timeline, Some(phase_start));
+            if st.fault.is_some() {
                 st.fstats.injected = st.packets.len() as u64;
             }
 
@@ -956,33 +1354,15 @@ impl<'a> Simulator<'a> {
             // retries forever).
             let undelivered: u32 = st.msg_packets_left.iter().sum();
             if undelivered > 0 {
-                let in_queues: usize = st.link_queue.iter().map(|q| q.len()).sum();
-                let pending: usize = st.pending_inject.iter().map(|q| q.len()).sum();
-                let occ: u32 = st.occupancy.iter().sum();
-                if st.parked_count > 0 {
-                    return Err(SimError::Deadlock {
-                        diagnosis: format!(
-                            "simulation deadlocked with {undelivered} undelivered packets and \
-                             {} links parked in a cyclic head-of-line wait (link queues: \
-                             {in_queues}, pending injections: {pending}, occupancy sum: {occ}); \
-                             single-FIFO link queues can deadlock across virtual channels when \
-                             buffer_packets_per_vc is very small — increase it",
-                            st.parked_count
-                        ),
-                    });
-                }
-                panic!(
-                    "simulation ended with {undelivered} undelivered packets \
-                     (link queues: {in_queues}, pending injections: {pending}, \
-                     occupancy sum: {occ}) — engine invariant violated"
-                );
+                return Err(undelivered_error(
+                    undelivered as u64,
+                    st.parked_count,
+                    st.link_queue.iter().map(|q| q.len()).sum(),
+                    st.pending_inject.iter().map(|q| q.len()).sum(),
+                    st.occupancy.iter().sum(),
+                ));
             }
             debug_assert_eq!(st.parked_count, 0, "drained run left links parked");
-            for (mi, &last) in st.msg_last_delivery.iter().enumerate() {
-                if last != u64::MAX && !st.msg_failed[mi] {
-                    stats.record_message(last.saturating_sub(st.msg_first_inject[mi].min(last)));
-                }
-            }
             phase_start = st.phase_end.max(phase_start);
             stats.record_engine(&st.counters);
             faults.merge(&st.fstats);
@@ -992,79 +1372,39 @@ impl<'a> Simulator<'a> {
         Ok(results)
     }
 
-    /// Steady-state run: continuous per-endpoint Poisson sources, windowed
-    /// measurement, bounded drain.
-    fn run_steady(
+    /// Windowed steady-state run: continuous sources, windowed measurement,
+    /// bounded drain. Without a job `plan` the sources are the workload's
+    /// per-endpoint Poisson sources (destinations drawn from `pattern` when
+    /// one is configured); with one, the jobs runtime drives the tenants and
+    /// per-tenant accounting lands in [`SimResults::tenants`].
+    fn run_windowed(
         &self,
         workload: &Workload,
         offered_load: f64,
-        w: &crate::config::MeasurementWindows,
-    ) -> Result<SimResults, SimError> {
-        if let Some(max_ep) = workload.max_endpoint() {
-            assert!(
-                max_ep < self.net.num_endpoints(),
-                "workload references endpoint {max_ep} but the network has only {}",
-                self.net.num_endpoints()
-            );
-        }
-        // On a degraded network the live pattern runs over the *surviving*
-        // machine: its endpoint space is the alive endpoints, and only those
-        // inject (dead sources are filtered below). Pristine networks skip the
-        // mapping entirely, keeping the fault-free path bit-identical.
-        let alive_map: Option<AliveEndpoints> =
-            (self.net.has_faults() && w.pattern.is_some()).then(|| AliveEndpoints::new(self.net));
-        let pattern_endpoints = alive_map
-            .as_ref()
-            .map(|m| m.alive.len())
-            .unwrap_or(self.net.num_endpoints());
-        // Resolve the destination pattern once, up front — an unknown spec fails
-        // loudly before any simulation work, mirroring unknown routing names.
-        let pattern: Option<Box<dyn crate::pattern::TrafficPattern>> =
-            w.pattern.as_deref().map(|spec| {
-                crate::pattern::create(spec, &crate::pattern::PatternCtx::new(pattern_endpoints))
-                    .unwrap_or_else(|e| panic!("{e}"))
-            });
+        w: &MeasurementWindows,
+        pattern: Option<&LivePattern>,
+        plan: Option<&MixPlan>,
+        timeline: &Option<Arc<FaultTimeline>>,
+    ) -> SimResults {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
-
-        // Per-endpoint message templates, cycled in workload order (phases are
-        // flattened: steady-state measurement is an open-loop experiment, not a
-        // bulk-synchronous application run).
-        let mut templates: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.net.num_endpoints()];
-        for phase in &workload.phases {
-            for m in &phase.messages {
-                templates[m.src].push((m.dst, m.bytes));
-            }
-        }
-        let mut sources: Vec<Source> = templates
-            .into_iter()
-            .enumerate()
-            .filter(|(e, t)| {
-                !t.is_empty() && alive_map.as_ref().is_none_or(|m| m.rank[*e] != u32::MAX)
-            })
-            .map(|(endpoint, templates)| Source {
-                endpoint,
-                templates,
-                next_template: 0,
-                nic_free_ps: 0,
-            })
-            .collect();
-
         let mut st = EngineState::new(self.net, self.cfg, 0);
-        st.track_completions = true;
-        if let Some(tl) = self.fault_timeline(w.deadline_ps())? {
-            let fr = Box::new(FaultRuntime::new(self.net, Arc::clone(&tl)));
-            if !tl.events.is_empty() {
-                st.push(tl.events[0].time_ps, EventKind::Fault { idx: 0 });
-            }
-            st.fault = Some(fr);
-        }
-        // First arrival of each source's Poisson process.
-        for (si, source) in sources.iter().enumerate() {
-            let first_bytes = source.templates[0].1;
-            let gap = self.exp_gap(first_bytes, offered_load, &mut rng);
-            if gap < w.measure_end_ps() {
-                st.push(gap, EventKind::NextMessage { source: si as u32 });
+        st.recycle_msgs = true;
+        st.arm_faults(self.net, timeline, None);
+        let mut sources: Vec<Source> = Vec::new();
+        let mut jobs = plan.map(|plan| {
+            stats.init_tenants(plan.tenant_descs());
+            let n = self.net.num_endpoints();
+            JobsRuntime::new(plan, self.cfg, n, offered_load, w, |_| true)
+        });
+        let mut inj = self.injector(&mut st, &mut stats);
+        match &mut jobs {
+            Some(jobs) => jobs.start(&mut inj),
+            None => {
+                sources = Source::all(self.net, workload, pattern, |_| true);
+                for (si, s) in sources.iter().enumerate() {
+                    s.start(&mut inj, self.cfg, si, offered_load, w, &mut rng);
+                }
             }
         }
         let first_sample = w.sample_interval_ps.max(1);
@@ -1080,486 +1420,47 @@ impl<'a> Simulator<'a> {
             }
             st.counters.events += 1;
             st.counters.arena_slots = st.counters.arena_slots.max(st.packets.len() as u64);
-            if let EventKind::NextMessage { source } = ev.kind {
-                self.spawn_message(
-                    source as usize,
-                    ev.time,
-                    offered_load,
-                    w,
-                    pattern.as_deref(),
-                    alive_map.as_ref(),
-                    &mut sources,
-                    &mut st,
-                    &mut stats,
-                    &mut rng,
-                );
-            } else if ev.kind == EventKind::Sample {
-                self.record_sample(ev.time, w, &mut st, &mut stats);
-            } else {
-                self.handle_event(ev, &mut st, &mut rng, &mut stats);
-            }
-            drain_completed_messages(&mut st, &mut stats);
-        }
-        drain_completed_messages(&mut st, &mut stats);
-        stats.record_engine(&st.counters);
-        let mut results = stats.finish();
-        results.faults = st.fstats;
-        Ok(results)
-    }
-
-    /// Steady-state multi-tenant jobs run ([`SimConfig::jobs`]): the mix is
-    /// resolved once over the alive endpoints (deterministic in the seed, so
-    /// every engine and shard count executes the identical plan), collective
-    /// tenants execute their dependency-ordered schedules starting at `t = 0`,
-    /// open-loop tenants drive per-rank rate-process sources, and per-tenant
-    /// accounting lands in [`SimResults::tenants`]. The run-level
-    /// `offered_load` scales every open-loop tenant's configured rates.
-    ///
-    /// # Panics
-    /// On a malformed mix spec or one that does not fit the surviving
-    /// endpoints, mirroring unknown routing/pattern names.
-    fn run_steady_jobs(
-        &self,
-        offered_load: f64,
-        w: &crate::config::MeasurementWindows,
-    ) -> Result<SimResults, SimError> {
-        let mix = self.cfg.jobs.as_deref().expect("jobs run without a mix");
-        let alive = self.net.alive_endpoints();
-        let plan = crate::job::resolve_mix(mix, &crate::job::JobCtx::new(), &alive, self.cfg.seed)
-            .unwrap_or_else(|e| panic!("{e}"));
-
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
-        stats.init_tenants(plan.tenant_descs());
-
-        let mut st = EngineState::new(self.net, self.cfg, 0);
-        st.track_completions = true;
-        if let Some(tl) = self.fault_timeline(w.deadline_ps())? {
-            let fr = Box::new(FaultRuntime::new(self.net, Arc::clone(&tl)));
-            if !tl.events.is_empty() {
-                st.push(tl.events[0].time_ps, EventKind::Fault { idx: 0 });
-            }
-            st.fault = Some(fr);
-        }
-
-        // NIC-busy horizon per endpoint, shared by collective and open-loop
-        // injections (an endpoint belongs to exactly one tenant).
-        let mut nic_free: Vec<u64> = vec![0; self.net.num_endpoints()];
-
-        // Collective trackers and open-loop sources, in declaration order.
-        let mut collectives: Vec<(u32, CollectiveState)> = Vec::new();
-        let mut jsources: Vec<JSource> = Vec::new();
-        for (ti, t) in plan.tenants.iter().enumerate() {
-            match &t.behavior {
-                JobBehavior::Collective(sched) => {
-                    collectives.push((ti as u32, CollectiveState::new(Arc::new(sched.clone()))));
+            match (ev.kind, &mut jobs) {
+                (EventKind::NextMessage { source }, Some(jobs)) => {
+                    let mut inj = self.injector(&mut st, &mut stats);
+                    jobs.on_arrival(&mut inj, source as usize, ev.time);
                 }
-                JobBehavior::OpenLoop(spec) => {
-                    for (rank, &ep) in t.endpoints.iter().enumerate() {
-                        jsources.push(JSource {
-                            endpoint: ep,
-                            tenant: ti as u32,
-                            rank: rank as u32,
-                            bytes: spec.bytes,
-                            ser_ps: self.cfg.injection_serialization_ps(spec.bytes),
-                            rate: spec.rate.clone(),
-                            rt: RateRuntime::default(),
-                            rng: crate::job::source_rng(self.cfg.seed, ep),
-                        });
-                    }
+                (EventKind::NextMessage { source }, None) => {
+                    let si = source as usize;
+                    let mut inj = self.injector(&mut st, &mut stats);
+                    let (cfg, now) = (self.cfg, ev.time);
+                    sources[si].arrive(&mut inj, cfg, si, now, offered_load, w, pattern, &mut rng);
+                }
+                (EventKind::Sample, _) => self.record_sample(ev.time, w, &mut st, &mut stats),
+                _ => self.handle_event(ev, &mut st, &mut rng, &mut stats),
+            }
+            if let Some(jobs) = &mut jobs {
+                // Release whatever the event completed (at most one message
+                // delivers per event).
+                while let Some((tag, t)) = st.jobs_completed.pop() {
+                    jobs.on_delivered(&mut self.injector(&mut st, &mut stats), tag, t);
                 }
             }
         }
-        let mut coll_of_tenant: Vec<Option<usize>> = vec![None; plan.tenants.len()];
-        for (ci, (ti, _)) in collectives.iter().enumerate() {
-            coll_of_tenant[*ti as usize] = Some(ci);
-        }
-
-        // First arrival of every open-loop source.
-        for (si, s) in jsources.iter_mut().enumerate() {
-            let t = s
-                .rate
-                .next_arrival_ps(&mut s.rt, 0, s.ser_ps, offered_load, &mut s.rng);
-            if t < w.measure_end_ps() {
-                st.push(t, EventKind::NextMessage { source: si as u32 });
-            }
-        }
-        // Fire every collective's round-0 groups at t = 0 (the sequential
-        // engine owns every rank), cascading through any groups the firing
-        // itself unblocks (empty rounds).
-        for (ti, cs) in collectives.iter_mut() {
-            for g in cs.ready_at_start(|_| true) {
-                self.fire_collective_from(*ti, cs, g, 0, &plan, &mut nic_free, &mut st, &mut stats);
-            }
-        }
-        let first_sample = w.sample_interval_ps.max(1);
-        if first_sample <= w.deadline_ps() {
-            st.push(first_sample, EventKind::Sample);
-        }
-
-        while let Some(ev) = st.queue.pop() {
-            if ev.time > w.deadline_ps() {
-                break;
-            }
-            st.counters.events += 1;
-            st.counters.arena_slots = st.counters.arena_slots.max(st.packets.len() as u64);
-            if let EventKind::NextMessage { source } = ev.kind {
-                self.spawn_job_message(
-                    source as usize,
-                    ev.time,
-                    offered_load,
-                    w,
-                    &plan,
-                    &mut jsources,
-                    &mut nic_free,
-                    &mut st,
-                    &mut stats,
-                );
-            } else if ev.kind == EventKind::Sample {
-                self.record_sample(ev.time, w, &mut st, &mut stats);
-            } else {
-                self.handle_event(ev, &mut st, &mut rng, &mut stats);
-            }
-            self.drain_completed_jobs(
-                &plan,
-                &mut collectives,
-                &coll_of_tenant,
-                &mut nic_free,
-                &mut st,
-                &mut stats,
-            );
-        }
-        self.drain_completed_jobs(
-            &plan,
-            &mut collectives,
-            &coll_of_tenant,
-            &mut nic_free,
-            &mut st,
-            &mut stats,
-        );
-        for (ti, cs) in &collectives {
-            stats.add_tenant_ranks_completed(*ti, cs.ranks_completed());
+        if let Some(jobs) = &jobs {
+            jobs.report_ranks_completed(&mut stats);
         }
         stats.record_engine(&st.counters);
         let mut results = stats.finish();
         results.faults = st.fstats;
-        Ok(results)
+        results
     }
 
-    /// One open-loop jobs-mode arrival: draw the destination rank from the
-    /// tenant's pattern, inject the message, and schedule the source's next
-    /// arrival from its rate process (sources fall silent at the end of the
-    /// measurement window, like the legacy Poisson sources).
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_job_message(
-        &self,
-        si: usize,
-        now: u64,
-        load_scale: f64,
-        w: &crate::config::MeasurementWindows,
-        plan: &MixPlan,
-        jsources: &mut [JSource],
-        nic_free: &mut [u64],
-        st: &mut EngineState,
-        stats: &mut StatsCollector,
-    ) {
-        let s = &mut jsources[si];
-        let tenant = &plan.tenants[s.tenant as usize];
-        let JobBehavior::OpenLoop(spec) = &tenant.behavior else {
-            unreachable!("open-loop source on a collective tenant")
-        };
-        let drawn = spec.pattern.dst(s.rank as usize, &mut s.rng);
-        // Hard assert, mirroring `spawn_message`: TrafficPattern is a
-        // third-party extension point.
-        assert!(
-            drawn < tenant.endpoints.len(),
-            "pattern {} returned out-of-range destination {drawn} (tenant has {} ranks)",
-            spec.pattern.name(),
-            tenant.endpoints.len()
-        );
-        let dst_ep = tenant.endpoints[drawn];
-        self.inject_job_message(
-            now,
-            s.endpoint,
-            dst_ep,
-            s.bytes,
-            MsgTag::open_loop(s.tenant, drawn as u32),
-            nic_free,
+    /// The sequential engine's [`Injector`] over one loop's state.
+    fn injector<'s>(
+        &'s self,
+        st: &'s mut EngineState,
+        stats: &'s mut StatsCollector,
+    ) -> SeqInjector<'s, 'a> {
+        SeqInjector {
+            sim: self,
             st,
             stats,
-        );
-        let next = s
-            .rate
-            .next_arrival_ps(&mut s.rt, now, s.ser_ps, load_scale, &mut s.rng);
-        if next < w.measure_end_ps() {
-            st.push(next, EventKind::NextMessage { source: si as u32 });
-        }
-    }
-
-    /// Inject one tagged jobs-mode message from `src_ep` to `dst_ep`,
-    /// serializing its packets through the endpoint's NIC exactly like
-    /// `spawn_message` does for workload sources.
-    #[allow(clippy::too_many_arguments)]
-    fn inject_job_message(
-        &self,
-        now: u64,
-        src_ep: usize,
-        dst_ep: usize,
-        bytes: u64,
-        tag: MsgTag,
-        nic_free: &mut [u64],
-        st: &mut EngineState,
-        stats: &mut StatsCollector,
-    ) {
-        let segments = segment_message(self.cfg, bytes);
-        let mut t = now.max(nic_free[src_ep]);
-        let mi = match st.msg_free.pop() {
-            Some(i) => {
-                st.msg_packets_left[i] = segments.len() as u32;
-                st.msg_last_delivery[i] = u64::MAX;
-                st.msg_first_inject[i] = t;
-                i
-            }
-            None => {
-                st.msg_packets_left.push(segments.len() as u32);
-                st.msg_last_delivery.push(u64::MAX);
-                st.msg_first_inject.push(t);
-                st.msg_packets_left.len() - 1
-            }
-        };
-        if st.msg_failed.len() < st.msg_packets_left.len() {
-            st.msg_failed.resize(st.msg_packets_left.len(), false);
-        }
-        st.msg_failed[mi] = false;
-        if st.msg_tag.len() < st.msg_packets_left.len() {
-            st.msg_tag
-                .resize(st.msg_packets_left.len(), MsgTag::open_loop(u32::MAX, 0));
-        }
-        st.msg_tag[mi] = tag;
-        stats.note_tenant_injection(tag.tenant, bytes, t);
-        for (pkt_bytes, nic_ser) in segments {
-            let packet = Packet {
-                src_router: self.net.router_of_endpoint(src_ep),
-                dst_router: self.net.router_of_endpoint(dst_ep),
-                bytes: pkt_bytes,
-                inject_time_ps: t,
-                hops: 0,
-                routing: RoutingState::default(),
-                msg: mi,
-                via_link: u32::MAX,
-                attempts: 0,
-                first_drop_ps: u64::MAX,
-            };
-            let pi = st.alloc_packet(packet);
-            if st.fault.is_some() {
-                st.fstats.injected += 1;
-            }
-            stats.note_injection(t);
-            st.push(t, EventKind::Inject { packet: pi as u32 });
-            t += nic_ser;
-        }
-        nic_free[src_ep] = t;
-    }
-
-    /// Fire collective group `g` of tenant `ti` at time `now`: inject its
-    /// sends and cascade through any same-rank follow-up groups the firing
-    /// itself unblocks (rounds with no inbound dependencies).
-    #[allow(clippy::too_many_arguments)]
-    fn fire_collective_from(
-        &self,
-        ti: u32,
-        cs: &mut CollectiveState,
-        g: usize,
-        now: u64,
-        plan: &MixPlan,
-        nic_free: &mut [u64],
-        st: &mut EngineState,
-        stats: &mut StatsCollector,
-    ) {
-        let tenant = &plan.tenants[ti as usize];
-        let rounds = cs.schedule().rounds;
-        let mut ready = vec![g];
-        while let Some(g) = ready.pop() {
-            let (sends, next) = cs.fire(g);
-            let round = (g % rounds) as u32;
-            let src_ep = tenant.endpoints[g / rounds];
-            for (dst_rank, bytes) in sends {
-                let dst_ep = tenant.endpoints[dst_rank as usize];
-                self.inject_job_message(
-                    now,
-                    src_ep,
-                    dst_ep,
-                    bytes,
-                    MsgTag {
-                        tenant: ti,
-                        dst_rank,
-                        round,
-                    },
-                    nic_free,
-                    st,
-                    stats,
-                );
-            }
-            if let Some(n) = next {
-                ready.push(n);
-            }
-        }
-    }
-
-    /// Jobs-mode variant of [`drain_completed_messages`]: record global and
-    /// per-tenant message completions, and for collective messages release the
-    /// destination rank's dependency — firing (and injecting) whatever rounds
-    /// the delivery unblocks, at the delivery's own timestamp. A terminally
-    /// failed collective message stalls its destination rank's chain by
-    /// design: collective completion semantics are delivery, not transmission.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_completed_jobs(
-        &self,
-        plan: &MixPlan,
-        collectives: &mut [(u32, CollectiveState)],
-        coll_of_tenant: &[Option<usize>],
-        nic_free: &mut [u64],
-        st: &mut EngineState,
-        stats: &mut StatsCollector,
-    ) {
-        while let Some(mi) = st.completed_msgs.pop() {
-            let first = st.msg_first_inject[mi];
-            let last = st.msg_last_delivery[mi];
-            let failed = st.msg_failed.get(mi).copied().unwrap_or(false);
-            let delivered = last != u64::MAX && !failed;
-            if delivered && stats.is_measured(first) {
-                stats.record_message(last.saturating_sub(first.min(last)));
-            }
-            let tag = st.msg_tag[mi];
-            st.msg_free.push(mi);
-            if !delivered {
-                continue;
-            }
-            if stats.is_measured(first) {
-                stats.record_tenant_message(tag.tenant);
-            }
-            if tag.is_collective() {
-                stats.record_tenant_collective_delivery(tag.tenant, last);
-                let ci = coll_of_tenant[tag.tenant as usize]
-                    .expect("collective tag on a non-collective tenant");
-                let (ti, cs) = &mut collectives[ci];
-                if let Some(g) = cs.on_delivered(tag.dst_rank, tag.round) {
-                    self.fire_collective_from(*ti, cs, g, last, plan, nic_free, st, stats);
-                }
-            }
-        }
-    }
-
-    /// Exponential inter-arrival gap for a message of `bytes` at `load` of the
-    /// endpoint injection bandwidth.
-    fn exp_gap(&self, bytes: u64, load: f64, rng: &mut StdRng) -> u64 {
-        let ser = self.cfg.injection_serialization_ps(bytes) as f64;
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        (-u.ln() * ser / load) as u64
-    }
-
-    /// Generate one message from a continuous source at its arrival time `now`,
-    /// packetize it through the NIC, and schedule the source's next arrival.
-    ///
-    /// With a destination `pattern` configured, the message's destination is
-    /// drawn live from it (one pattern draw per message); the template cycle
-    /// still supplies the message size, so workloads keep controlling *how
-    /// much* each endpoint sends while the pattern controls *where to*. On a
-    /// degraded network (`alive` set) the pattern speaks in surviving-machine
-    /// ranks: the source's rank goes in, the drawn rank is mapped back to a
-    /// physical endpoint.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_message(
-        &self,
-        si: usize,
-        now: u64,
-        load: f64,
-        w: &crate::config::MeasurementWindows,
-        pattern: Option<&dyn crate::pattern::TrafficPattern>,
-        alive: Option<&AliveEndpoints>,
-        sources: &mut [Source],
-        st: &mut EngineState,
-        stats: &mut StatsCollector,
-        rng: &mut StdRng,
-    ) {
-        let src = &mut sources[si];
-        let (mut dst, bytes) = src.templates[src.next_template % src.templates.len()];
-        src.next_template += 1;
-        if let Some(p) = pattern {
-            let src_rank = match alive {
-                None => src.endpoint,
-                Some(m) => m.rank[src.endpoint] as usize,
-            };
-            let drawn = p.dst(src_rank, rng);
-            let endpoint_space = alive
-                .map(|m| m.alive.len())
-                .unwrap_or(self.net.num_endpoints());
-            // Hard assert (not debug_assert): TrafficPattern is a third-party
-            // extension point, and an out-of-range destination would otherwise
-            // index past the endpoint map far from the buggy draw.
-            assert!(
-                drawn < endpoint_space,
-                "pattern {} returned out-of-range destination {drawn} (pattern space has {} endpoints)",
-                p.name(),
-                endpoint_space
-            );
-            dst = match alive {
-                None => drawn,
-                Some(m) => m.alive[drawn],
-            };
-        }
-
-        let segments = segment_message(self.cfg, bytes);
-        let mut t = now.max(src.nic_free_ps);
-        // Message slots are recycled once recorded (see
-        // `drain_completed_messages`), so long runs stay bounded by in-flight
-        // messages, mirroring the packet arena.
-        let mi = match st.msg_free.pop() {
-            Some(i) => {
-                st.msg_packets_left[i] = segments.len() as u32;
-                st.msg_last_delivery[i] = u64::MAX;
-                st.msg_first_inject[i] = t;
-                i
-            }
-            None => {
-                st.msg_packets_left.push(segments.len() as u32);
-                st.msg_last_delivery.push(u64::MAX);
-                st.msg_first_inject.push(t);
-                st.msg_packets_left.len() - 1
-            }
-        };
-        if st.msg_failed.len() < st.msg_packets_left.len() {
-            st.msg_failed.resize(st.msg_packets_left.len(), false);
-        }
-        st.msg_failed[mi] = false;
-        for (pkt_bytes, nic_ser) in segments {
-            let packet = Packet {
-                src_router: self.net.router_of_endpoint(src.endpoint),
-                dst_router: self.net.router_of_endpoint(dst),
-                bytes: pkt_bytes,
-                inject_time_ps: t,
-                hops: 0,
-                routing: RoutingState::default(),
-                msg: mi,
-                via_link: u32::MAX,
-                attempts: 0,
-                first_drop_ps: u64::MAX,
-            };
-            let pi = st.alloc_packet(packet);
-            if st.fault.is_some() {
-                st.fstats.injected += 1;
-            }
-            stats.note_injection(t);
-            st.push(t, EventKind::Inject { packet: pi as u32 });
-            t += nic_ser;
-        }
-        src.nic_free_ps = t;
-
-        // Next arrival of the (open-loop) Poisson process, measured from this
-        // arrival; sources fall silent at the end of the measurement window.
-        let next = now + self.exp_gap(bytes, load, rng);
-        if next < w.measure_end_ps() {
-            st.push(next, EventKind::NextMessage { source: si as u32 });
         }
     }
 
@@ -1603,20 +1504,12 @@ impl<'a> Simulator<'a> {
             EventKind::Inject { packet } => {
                 let packet = packet as usize;
                 let router = st.packets[packet].src_router;
-                if let Some(fr) = st.fault.as_deref() {
-                    let dst = st.packets[packet].dst_router;
-                    let reason = if fr.router_dead(router) || fr.router_dead(dst) {
-                        Some(DropReason::RouterDown)
-                    } else if !fr.reachable(router, dst) {
-                        Some(DropReason::NoRoute)
-                    } else {
-                        None
-                    };
-                    if let Some(reason) = reason {
-                        // The packet never entered a buffer — pure NIC-side drop.
-                        self.drop_packet(packet, now, reason, st);
-                        return;
-                    }
+                let drop = (st.fault.as_deref())
+                    .and_then(|f| f.inject_drop(router, st.packets[packet].dst_router));
+                if let Some(reason) = drop {
+                    // The packet never entered a buffer — pure NIC-side drop.
+                    self.drop_packet(packet, now, reason, st);
+                    return;
                 }
                 let slot = router as usize * self.cfg.num_vcs;
                 if st.occupancy[slot] < cap {
@@ -1804,12 +1697,7 @@ impl<'a> Simulator<'a> {
     /// exponential backoff) or retire it into the `Failed` terminal state.
     /// The caller has already released whatever buffer the packet occupied.
     fn drop_packet(&self, pi: usize, now: u64, reason: DropReason, st: &mut EngineState) {
-        match reason {
-            DropReason::LinkDown => st.fstats.dropped_link_down += 1,
-            DropReason::RouterDown => st.fstats.dropped_router_down += 1,
-            DropReason::NoRoute => st.fstats.dropped_no_route += 1,
-            DropReason::TtlExceeded => st.fstats.dropped_ttl += 1,
-        }
+        st.fstats.record_drop(reason);
         let (attempts, msg) = {
             let p = &mut st.packets[pi];
             if p.first_drop_ps == u64::MAX {
@@ -1836,8 +1724,8 @@ impl<'a> Simulator<'a> {
                 *f = true;
             }
             st.msg_packets_left[msg] -= 1;
-            if st.msg_packets_left[msg] == 0 && st.track_completions {
-                st.completed_msgs.push(msg);
+            if st.msg_packets_left[msg] == 0 && st.recycle_msgs {
+                st.msg_free.push(msg);
             }
         }
     }
@@ -1885,32 +1773,37 @@ impl<'a> Simulator<'a> {
             if let Some(tag) = st.msg_tag.get(st.packets[pi].msg) {
                 // Jobs mode only (`msg_tag` is empty otherwise): attribute the
                 // delivery to its tenant alongside the global accounting.
-                if tag.tenant != u32::MAX {
-                    stats.record_tenant_packet(tag.tenant, latency, st.packets[pi].bytes, now);
-                }
+                stats.record_tenant_packet(tag.tenant, latency, st.packets[pi].bytes, now);
             }
             st.delivered_packets_total += 1;
             st.delivered_bytes_total += st.packets[pi].bytes;
             if st.fault.is_some() {
-                st.fstats.delivered += 1;
-                let fd = st.packets[pi].first_drop_ps;
-                if fd != u64::MAX {
-                    // The packet was dropped at least once and still made it
-                    // home: its recovery time is first-drop → delivery.
-                    let rec = now.saturating_sub(fd);
-                    st.fstats.recovered += 1;
-                    st.fstats.total_recovery_ps += rec;
-                    st.fstats.max_recovery_ps = st.fstats.max_recovery_ps.max(rec);
-                }
+                st.fstats.record_delivery(st.packets[pi].first_drop_ps, now);
             }
             let m = st.packets[pi].msg;
             st.msg_packets_left[m] -= 1;
             if st.msg_packets_left[m] == 0 {
-                // Written exactly once per message — the delivery that zeroes the
-                // counter is by definition the message's last delivery.
-                st.msg_last_delivery[m] = now;
-                if st.track_completions {
-                    st.completed_msgs.push(m);
+                // The delivery that zeroes the counter is by definition the
+                // message's last delivery. A message that lost a packet
+                // terminally is not a delivered message.
+                if !st.msg_failed[m] {
+                    let first = st.msg_first_inject[m];
+                    let measured = stats.is_measured(first);
+                    if measured {
+                        stats.record_message(now.saturating_sub(first));
+                    }
+                    if let Some(&tag) = st.msg_tag.get(m) {
+                        if measured {
+                            stats.record_tenant_message(tag.tenant);
+                        }
+                        if tag.is_collective() {
+                            stats.record_tenant_collective_delivery(tag.tenant, now);
+                            st.jobs_completed.push((tag, now));
+                        }
+                    }
+                }
+                if st.recycle_msgs {
+                    st.msg_free.push(m);
                 }
             }
             st.phase_end = st.phase_end.max(now);
@@ -1918,31 +1811,28 @@ impl<'a> Simulator<'a> {
             st.wake_waiters(slot, now);
             return;
         }
-        if let Some(fr) = st.fault.as_deref() {
-            let reason = if st.packets[pi].hops >= fr.ttl {
-                Some(DropReason::TtlExceeded)
-            } else if !fr.reachable(router, target) {
-                // No alive path can exist — drop now instead of wandering.
-                Some(DropReason::NoRoute)
-            } else {
-                None
-            };
-            if let Some(reason) = reason {
-                let vc = (st.packets[pi].hops as usize).min(self.cfg.num_vcs - 1);
-                let slot = router as usize * self.cfg.num_vcs + vc;
-                st.occ_dec(router, slot);
-                st.wake_waiters(slot, now);
-                self.drop_packet(pi, now, reason, st);
-                return;
-            }
+        let hops = st.packets[pi].hops;
+        let drop = st
+            .fault
+            .as_deref()
+            .and_then(|f| f.transit_drop(hops, router, target));
+        if let Some(reason) = drop {
+            let vc = (hops as usize).min(self.cfg.num_vcs - 1);
+            let slot = router as usize * self.cfg.num_vcs + vc;
+            st.occ_dec(router, slot);
+            st.wake_waiters(slot, now);
+            self.drop_packet(pi, now, reason, st);
+            return;
         }
+        let p = &mut st.packets[pi];
         let port = choose_port(
             self.net,
             self.cfg,
             self.router.as_ref(),
-            &mut st.packets,
-            pi,
+            &mut p.routing,
             router,
+            p.dst_router,
+            p.hops,
             &st.link_qlen,
             &st.occupancy,
             &st.router_occ,
@@ -1950,34 +1840,13 @@ impl<'a> Simulator<'a> {
             rng,
             &mut st.route_scratch,
         );
-        let link = {
-            let pristine = self.net.link_id(router, port);
-            match st.fault.as_deref() {
-                // Liveness-aware port mask: the immutable oracle's choice is
-                // kept whenever its link is up; only a dead choice falls back
-                // to the best alive port (greedy on static distance, RNG-free
-                // so the shared decision stream is not perturbed).
-                Some(fr) if fr.link_dead(pristine) => {
-                    let (via, hops, attempts) = {
-                        let p = &st.packets[pi];
-                        (p.via_link, p.hops, p.attempts)
-                    };
-                    let prev = (via != u32::MAX).then(|| self.net.link_owner(via as usize).0);
-                    let salt = hops.wrapping_add(attempts.wrapping_mul(31));
-                    routing::best_alive_port(self.net, router, target, prev, salt, |l| {
-                        if !fr.link_alive(l) {
-                            return false;
-                        }
-                        // Static distance can point into a component the
-                        // damage has cut off from the target — require the
-                        // next hop to share the target's alive component.
-                        let (r, p) = self.net.link_owner(l);
-                        fr.reachable(self.net.link_target(r, p), target)
-                    })
-                    .map(|p| self.net.link_id(router, p))
-                }
-                _ => Some(pristine),
+        // Liveness-aware port mask: only a dead routing choice falls back.
+        let pristine = self.net.link_id(router, port);
+        let link = match st.fault.as_deref() {
+            Some(fr) if fr.link_dead(pristine) => {
+                fr.detour_link(self.net, router, target, p.via_link, hops, p.attempts)
             }
+            _ => Some(pristine),
         };
         let Some(link) = link else {
             // Every port toward the target is dead right now (the component

@@ -51,15 +51,19 @@
 //! exact cross-shard-count equality (see `tests/pdes_equivalence.rs`).
 
 use super::calendar::{CalendarQueue, Timed};
-use super::{packetize_phase, segment_message, AliveEndpoints, DropReason, FaultRuntime, SimError};
+use super::jobs::JobsRuntime;
+use super::{
+    choose_port, create_router, packetize_phase, resolve_run, segment_message, undelivered_error,
+    DropReason, FaultRuntime, Injector, LivePattern, RunMode, SimError, Source, UNTAGGED,
+};
 use crate::config::{MeasurementWindows, SimConfig};
 use crate::fault::{FaultEventKind, FaultTimeline};
-use crate::job::{self, CollectiveState, JobBehavior, JobCtx, MixPlan, MsgTag, RateRuntime};
+use crate::job::{MixPlan, MsgTag};
 use crate::network::SimNetwork;
-use crate::routing::{self, RouteScratch, Router, RoutingCtx, RoutingState};
+use crate::routing::{RouteScratch, Router, RoutingState};
 use crate::stats::{EngineCounters, FaultStats, IntervalSample, SimResults, StatsCollector};
 use crate::workload::Workload;
-use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
+use rand::{rngs::StdRng, RngCore, SeedableRng};
 use spectralfly_graph::csr::VertexId;
 use spectralfly_graph::{partition_kway, BisectConfig};
 use std::collections::{HashMap, VecDeque};
@@ -397,10 +401,16 @@ struct ShardCore<'a> {
     /// message is never recorded as completed — the countdown analogue of the
     /// sequential engine's `msg_failed` poisoning.
     msgs: HashMap<u64, MsgEntry>,
-    /// Collective messages fully delivered since the last drain, handed to the
-    /// jobs driving closure which owns the dependency trackers (empty unless
-    /// [`crate::SimConfig::jobs`] is set).
+    /// Collective messages fully delivered during the current event, handed
+    /// to the jobs runtime after it (empty unless [`crate::SimConfig::jobs`]
+    /// is set).
     jobs_completed: Vec<(MsgTag, u64)>,
+    /// Per-endpoint message and packet counters of steady-state injections:
+    /// ids are `(endpoint << 40) | counter`. An endpoint's injections happen
+    /// in a deterministic local order (driven by the owning shard's
+    /// `(time, key)` event order), so ids are shard-count-invariant.
+    msg_ids: Vec<u64>,
+    pkt_ids: Vec<u64>,
     /// Per-destination-shard outboxes, flushed at barrier 3.
     out: Vec<Vec<ShardMsg>>,
     stats: StatsCollector,
@@ -478,6 +488,8 @@ impl<'a> ShardCore<'a> {
             fstats: FaultStats::default(),
             msgs: HashMap::new(),
             jobs_completed: Vec::new(),
+            msg_ids: vec![0; net.num_endpoints()],
+            pkt_ids: vec![0; net.num_endpoints()],
             out: (0..shards).map(|_| Vec::new()).collect(),
             stats,
             counters: EngineCounters::default(),
@@ -496,6 +508,19 @@ impl<'a> ShardCore<'a> {
     #[inline]
     fn push(&mut self, time: u64, key: u64, kind: PKind) {
         self.queue.push(PEvent { time, key, kind });
+    }
+
+    /// Arm this shard's copy of the fault runtime for a configured script
+    /// (see [`FaultRuntime::arm`]) and chain its first live event. Every
+    /// shard runs the identical chain.
+    fn arm_faults(&mut self, timeline: &Option<Arc<FaultTimeline>>, phase_start: Option<u64>) {
+        if let Some(tl) = timeline {
+            let (fr, first) = FaultRuntime::arm(self.net, tl, phase_start);
+            if let Some((t, idx)) = first {
+                self.push(t, key(CLASS_FAULT, idx as u64), PKind::Fault { idx });
+            }
+            self.fault = Some(fr);
+        }
     }
 
     fn alloc_packet(&mut self, p: ParPacket) -> usize {
@@ -649,20 +674,12 @@ impl<'a> ShardCore<'a> {
             PKind::Inject { packet } => {
                 let pi = packet as usize;
                 let router = self.packets[pi].src_router;
-                if let Some(fr) = self.fault.as_deref() {
-                    let dst = self.packets[pi].dst_router;
-                    let reason = if fr.router_dead(router) || fr.router_dead(dst) {
-                        Some(DropReason::RouterDown)
-                    } else if !fr.reachable(router, dst) {
-                        Some(DropReason::NoRoute)
-                    } else {
-                        None
-                    };
-                    if let Some(reason) = reason {
-                        // The packet never entered a buffer — pure NIC-side drop.
-                        self.drop_packet(pi, now, reason);
-                        return;
-                    }
+                let drop = (self.fault.as_deref())
+                    .and_then(|f| f.inject_drop(router, self.packets[pi].dst_router));
+                if let Some(reason) = drop {
+                    // The packet never entered a buffer — pure NIC-side drop.
+                    self.drop_packet(pi, now, reason);
+                    return;
                 }
                 let slot = router as usize * self.nv;
                 if self.occupancy[slot] < self.cap {
@@ -810,16 +827,8 @@ impl<'a> ShardCore<'a> {
             self.delivered_packets_total += 1;
             self.delivered_bytes_total += bytes;
             if self.fault.is_some() {
-                self.fstats.delivered += 1;
-                let fd = self.packets[pi].first_drop_ps;
-                if fd != u64::MAX {
-                    // The packet was dropped at least once and still made it
-                    // home: its recovery time is first-drop → delivery.
-                    let rec = now.saturating_sub(fd);
-                    self.fstats.recovered += 1;
-                    self.fstats.total_recovery_ps += rec;
-                    self.fstats.max_recovery_ps = self.fstats.max_recovery_ps.max(rec);
-                }
+                self.fstats
+                    .record_delivery(self.packets[pi].first_drop_ps, now);
             }
             let (via_link, via_vc) = (self.packets[pi].via_link, self.packets[pi].via_vc);
             if via_link != u32::MAX {
@@ -858,49 +867,38 @@ impl<'a> ShardCore<'a> {
             self.free.push(pi);
             return;
         }
-        if let Some(fr) = self.fault.as_deref() {
-            let reason = if self.packets[pi].hops >= fr.ttl {
-                Some(DropReason::TtlExceeded)
-            } else if !fr.reachable(router, target) {
-                // No alive path can exist — drop now instead of wandering.
-                Some(DropReason::NoRoute)
-            } else {
-                None
-            };
-            if let Some(reason) = reason {
-                self.drop_resident(pi, router, now, reason);
-                return;
-            }
+        let hops = self.packets[pi].hops;
+        let drop = (self.fault.as_deref()).and_then(|f| f.transit_drop(hops, router, target));
+        if let Some(reason) = drop {
+            self.drop_resident(pi, router, now, reason);
+            return;
         }
-        let port = self.route_forward(pi, router);
-        let link = {
-            let pristine = self.net.link_id(router, port);
-            match self.fault.as_deref() {
-                // Liveness-aware port mask: the immutable oracle's choice is
-                // kept whenever its link is up; only a dead choice falls back
-                // to the best alive port (greedy on static distance, RNG-free
-                // so the per-decision counter streams are not perturbed).
-                Some(fr) if fr.link_dead(pristine) => {
-                    let (via, hops, attempts) = {
-                        let p = &self.packets[pi];
-                        (p.via_link, p.hops, p.attempts)
-                    };
-                    let prev = (via != u32::MAX).then(|| self.net.link_owner(via as usize).0);
-                    let salt = hops.wrapping_add(attempts.wrapping_mul(31));
-                    routing::best_alive_port(self.net, router, target, prev, salt, |l| {
-                        if !fr.link_alive(l) {
-                            return false;
-                        }
-                        // Static distance can point into a component the
-                        // damage has cut off from the target — require the
-                        // next hop to share the target's alive component.
-                        let (r, p) = self.net.link_owner(l);
-                        fr.reachable(self.net.link_target(r, p), target)
-                    })
-                    .map(|p| self.net.link_id(router, p))
-                }
-                _ => Some(pristine),
+        // Routing decision via the shared [`Router`] behind an
+        // epoch-consistent congestion snapshot and a per-decision counter RNG.
+        let p = &mut self.packets[pi];
+        let mut rng = DecisionRng::new(self.cfg.seed, p.stable_id, hops);
+        let port = choose_port(
+            self.net,
+            self.cfg,
+            self.algo,
+            &mut p.routing,
+            router,
+            p.dst_router,
+            hops,
+            &self.link_qlen,
+            &self.occ_view,
+            &self.rocc_view,
+            &self.link_parked,
+            &mut rng,
+            &mut self.route_scratch,
+        );
+        // Liveness-aware port mask: only a dead routing choice falls back.
+        let pristine = self.net.link_id(router, port);
+        let link = match self.fault.as_deref() {
+            Some(fr) if fr.link_dead(pristine) => {
+                fr.detour_link(self.net, router, target, p.via_link, hops, p.attempts)
             }
+            _ => Some(pristine),
         };
         let Some(link) = link else {
             // Every port toward the target is dead right now (the component
@@ -1012,12 +1010,7 @@ impl<'a> ShardCore<'a> {
     /// state. The caller has already released whatever buffer slot and held
     /// credit the packet occupied.
     fn drop_packet(&mut self, pi: usize, now: u64, reason: DropReason) {
-        match reason {
-            DropReason::LinkDown => self.fstats.dropped_link_down += 1,
-            DropReason::RouterDown => self.fstats.dropped_router_down += 1,
-            DropReason::NoRoute => self.fstats.dropped_no_route += 1,
-            DropReason::TtlExceeded => self.fstats.dropped_ttl += 1,
-        }
+        self.fstats.record_drop(reason);
         let attempts = {
             let p = &mut self.packets[pi];
             if p.first_drop_ps == u64::MAX {
@@ -1045,39 +1038,6 @@ impl<'a> ShardCore<'a> {
             self.fstats.failed += 1;
             self.free.push(pi);
         }
-    }
-
-    /// Routing decision via the shared [`Router`] behind an epoch-consistent
-    /// congestion snapshot and a per-decision counter RNG.
-    fn route_forward(&mut self, pi: usize, router: VertexId) -> usize {
-        let mut state = std::mem::take(&mut self.packets[pi].routing);
-        let dst = self.packets[pi].dst_router;
-        let hops = self.packets[pi].hops;
-        let mut rng = DecisionRng::new(self.cfg.seed, self.packets[pi].stable_id, hops);
-        let mut ctx = RoutingCtx::new(
-            self.net,
-            &self.link_qlen,
-            &self.occ_view,
-            &self.rocc_view,
-            &self.link_parked,
-            self.nv,
-            self.cfg.ugal_threshold,
-            router,
-            dst,
-            hops,
-            &mut rng,
-            &mut self.route_scratch,
-        );
-        let port = self.algo.route(&mut ctx, &mut state);
-        // Hard assert, as in the sequential engine: Router is a third-party
-        // extension point.
-        assert!(
-            port < self.net.graph().degree(router),
-            "router {} returned out-of-range port {port} at router {router}",
-            self.algo.name()
-        );
-        self.packets[pi].routing = state;
-        port
     }
 
     fn admit_pending(&mut self, router: VertexId, now: u64) {
@@ -1166,6 +1126,63 @@ impl<'a> ShardCore<'a> {
             samples: self.raw_samples,
             fstats: self.fstats,
         }
+    }
+}
+
+/// The shard's [`Injector`]: stable-id injections, stable-keyed arrivals.
+impl Injector for ShardCore<'_> {
+    fn inject(&mut self, mut t: u64, src_ep: usize, dst_ep: usize, bytes: u64, tag: MsgTag) -> u64 {
+        let segments = segment_message(self.cfg, bytes);
+        let first = t;
+        let msg_id = ((src_ep as u64) << 40) | self.msg_ids[src_ep];
+        self.msg_ids[src_ep] += 1;
+        let src_router = self.net.router_of_endpoint(src_ep);
+        let dst_router = self.net.router_of_endpoint(dst_ep);
+        let total = segments.len() as u32;
+        if tag.tenant != u32::MAX {
+            self.stats.note_tenant_injection(tag.tenant, bytes, t);
+        }
+        for (pkt_bytes, nic_ser) in segments {
+            let stable_id = ((src_ep as u64) << 40) | self.pkt_ids[src_ep];
+            self.pkt_ids[src_ep] += 1;
+            let packet = ParPacket {
+                src_router,
+                dst_router,
+                bytes: pkt_bytes,
+                inject_time_ps: t,
+                hops: 0,
+                routing: RoutingState::default(),
+                stable_id,
+                msg_id,
+                msg_total: total,
+                msg_first_inject: first,
+                via_link: u32::MAX,
+                via_vc: 0,
+                attempts: 0,
+                first_drop_ps: u64::MAX,
+                tag,
+            };
+            let slot = self.alloc_packet(packet);
+            if self.fault.is_some() {
+                self.fstats.injected += 1;
+            }
+            self.stats.note_injection(t);
+            let k = key(CLASS_INJECT, stable_id);
+            self.push(
+                t,
+                k,
+                PKind::Inject {
+                    packet: slot as u32,
+                },
+            );
+            t += nic_ser;
+        }
+        t
+    }
+
+    fn schedule_arrival(&mut self, t: u64, source: u32, endpoint: usize) {
+        let k = key(CLASS_NEXT_MESSAGE, endpoint as u64);
+        self.push(t, k, PKind::NextMessage { source });
     }
 }
 
@@ -1277,309 +1294,17 @@ fn join_shards<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> 
     outs
 }
 
-/// A continuous Poisson source owned by one shard (steady-state mode), with
-/// its own deterministic RNG stream keyed by `(seed, endpoint)`.
-struct PSource {
-    endpoint: usize,
-    templates: Vec<(usize, u64)>,
-    next_template: usize,
-    nic_free_ps: u64,
-    rng: StdRng,
-    msg_counter: u64,
-    pkt_counter: u64,
-}
-
+// Deliberately not `job::source_rng`: that one's `mix64` lacks the SplitMix
+// increment, so sharing it would move every parallel steady-state digest.
 fn source_rng(seed: u64, endpoint: usize) -> StdRng {
     StdRng::seed_from_u64(mix64(seed).wrapping_add(mix64(endpoint as u64 ^ 0x005E_ED50_17CE)))
 }
 
-fn exp_gap(cfg: &SimConfig, bytes: u64, load: f64, rng: &mut StdRng) -> u64 {
-    let ser = cfg.injection_serialization_ps(bytes) as f64;
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    (-u.ln() * ser / load) as u64
-}
-
-/// Generate one message from a shard-local source: pattern draw (if any),
-/// then gap draw, both from the source's own stream — the fixed per-source
-/// draw order that makes steady-state runs shard-count-invariant.
-#[allow(clippy::too_many_arguments)]
-fn spawn_message(
-    core: &mut ShardCore<'_>,
-    sources: &mut [PSource],
-    si: usize,
-    now: u64,
-    load: f64,
-    w: &MeasurementWindows,
-    pattern: Option<&dyn crate::pattern::TrafficPattern>,
-    alive: Option<&AliveEndpoints>,
-) {
-    let net = core.net;
-    let cfg = core.cfg;
-    let src = &mut sources[si];
-    let (mut dst, bytes) = src.templates[src.next_template % src.templates.len()];
-    src.next_template += 1;
-    if let Some(p) = pattern {
-        let src_rank = match alive {
-            None => src.endpoint,
-            Some(m) => m.rank[src.endpoint] as usize,
-        };
-        let drawn = p.dst(src_rank, &mut src.rng);
-        let endpoint_space = alive.map(|m| m.alive.len()).unwrap_or(net.num_endpoints());
-        assert!(
-            drawn < endpoint_space,
-            "pattern {} returned out-of-range destination {drawn} (pattern space has {} endpoints)",
-            p.name(),
-            endpoint_space
-        );
-        dst = match alive {
-            None => drawn,
-            Some(m) => m.alive[drawn],
-        };
-    }
-    let segments = segment_message(cfg, bytes);
-    let mut t = now.max(src.nic_free_ps);
-    let first = t;
-    let msg_id = ((src.endpoint as u64) << 40) | src.msg_counter;
-    src.msg_counter += 1;
-    let src_router = net.router_of_endpoint(src.endpoint);
-    let dst_router = net.router_of_endpoint(dst);
-    let total = segments.len() as u32;
-    let endpoint = src.endpoint;
-    for (pkt_bytes, nic_ser) in segments {
-        let stable_id = ((endpoint as u64) << 40) | sources[si].pkt_counter;
-        sources[si].pkt_counter += 1;
-        let packet = ParPacket {
-            src_router,
-            dst_router,
-            bytes: pkt_bytes,
-            inject_time_ps: t,
-            hops: 0,
-            routing: RoutingState::default(),
-            stable_id,
-            msg_id,
-            msg_total: total,
-            msg_first_inject: first,
-            via_link: u32::MAX,
-            via_vc: 0,
-            attempts: 0,
-            first_drop_ps: u64::MAX,
-            tag: MsgTag::open_loop(u32::MAX, 0),
-        };
-        let slot = core.alloc_packet(packet);
-        if core.fault.is_some() {
-            core.fstats.injected += 1;
-        }
-        core.stats.note_injection(t);
-        core.push(
-            t,
-            key(CLASS_INJECT, stable_id),
-            PKind::Inject {
-                packet: slot as u32,
-            },
-        );
-        t += nic_ser;
-    }
-    sources[si].nic_free_ps = t;
-    let next = now + exp_gap(cfg, bytes, load, &mut sources[si].rng);
-    if next < w.measure_end_ps() {
-        core.push(
-            next,
-            key(CLASS_NEXT_MESSAGE, endpoint as u64),
-            PKind::NextMessage { source: si as u32 },
-        );
-    }
-}
-
-/// One owned open-loop job rank (jobs mode): the rank's pattern / rate RNG
-/// stream is keyed by `(seed, endpoint)` via [`job::source_rng`] — the same
-/// stream the sequential engine's jobs sources draw from, so open-loop
-/// injection schedules are engine- and shard-count-invariant.
-struct JPSource {
-    endpoint: usize,
-    tenant: u32,
-    rank: u32,
-    bytes: u64,
-    ser_ps: u64,
-    rate: job::RateProcess,
-    rt: RateRuntime,
-    rng: StdRng,
-}
-
-/// Per-endpoint id counters and NIC cursors for jobs-mode injections. Ids are
-/// `(endpoint << 40) | counter` — the same endpoint-unique scheme as
-/// [`PSource`], and an endpoint's injections happen in a deterministic local
-/// order (open-loop arrivals and collective releases are both driven by the
-/// owning shard's `(time, key)` event order), so ids are shard-count-invariant.
-struct JobNics {
-    nic_free: Vec<u64>,
-    msg_counter: Vec<u64>,
-    pkt_counter: Vec<u64>,
-}
-
-impl JobNics {
-    fn new(num_endpoints: usize) -> Self {
-        JobNics {
-            nic_free: vec![0; num_endpoints],
-            msg_counter: vec![0; num_endpoints],
-            pkt_counter: vec![0; num_endpoints],
-        }
-    }
-}
-
-/// Inject one tagged jobs-mode message from `src_ep` to `dst_ep` on the shard
-/// owning `src_ep`'s router, serializing its packets through the endpoint's
-/// NIC exactly like [`spawn_message`] does for workload sources.
-fn inject_job_message_par(
-    core: &mut ShardCore<'_>,
-    nics: &mut JobNics,
-    now: u64,
-    src_ep: usize,
-    dst_ep: usize,
-    bytes: u64,
-    tag: MsgTag,
-) {
-    let net = core.net;
-    let segments = segment_message(core.cfg, bytes);
-    let mut t = now.max(nics.nic_free[src_ep]);
-    let first = t;
-    let msg_id = ((src_ep as u64) << 40) | nics.msg_counter[src_ep];
-    nics.msg_counter[src_ep] += 1;
-    let src_router = net.router_of_endpoint(src_ep);
-    let dst_router = net.router_of_endpoint(dst_ep);
-    let total = segments.len() as u32;
-    core.stats.note_tenant_injection(tag.tenant, bytes, t);
-    for (pkt_bytes, nic_ser) in segments {
-        let stable_id = ((src_ep as u64) << 40) | nics.pkt_counter[src_ep];
-        nics.pkt_counter[src_ep] += 1;
-        let packet = ParPacket {
-            src_router,
-            dst_router,
-            bytes: pkt_bytes,
-            inject_time_ps: t,
-            hops: 0,
-            routing: RoutingState::default(),
-            stable_id,
-            msg_id,
-            msg_total: total,
-            msg_first_inject: first,
-            via_link: u32::MAX,
-            via_vc: 0,
-            attempts: 0,
-            first_drop_ps: u64::MAX,
-            tag,
-        };
-        let slot = core.alloc_packet(packet);
-        if core.fault.is_some() {
-            core.fstats.injected += 1;
-        }
-        core.stats.note_injection(t);
-        core.push(
-            t,
-            key(CLASS_INJECT, stable_id),
-            PKind::Inject {
-                packet: slot as u32,
-            },
-        );
-        t += nic_ser;
-    }
-    nics.nic_free[src_ep] = t;
-}
-
-/// Fire collective group `g` of the tracker at `collectives[ci]` at time
-/// `now`: inject its sends and cascade through any same-rank follow-up groups
-/// the firing itself unblocks. Mirrors the sequential engine's
-/// `fire_collective_from` — every group fired here belongs to a rank this
-/// shard owns, so every send originates from an owned endpoint.
-fn fire_collective_par(
-    core: &mut ShardCore<'_>,
-    plan: &MixPlan,
-    collectives: &mut [(u32, CollectiveState)],
-    nics: &mut JobNics,
-    ci: usize,
-    g: usize,
-    now: u64,
-) {
-    let (ti, cs) = &mut collectives[ci];
-    let tenant = &plan.tenants[*ti as usize];
-    let rounds = cs.schedule().rounds;
-    let mut ready = vec![g];
-    while let Some(g) = ready.pop() {
-        let (sends, next) = cs.fire(g);
-        let round = (g % rounds) as u32;
-        let src_ep = tenant.endpoints[g / rounds];
-        for (dst_rank, bytes) in sends {
-            let dst_ep = tenant.endpoints[dst_rank as usize];
-            inject_job_message_par(
-                core,
-                nics,
-                now,
-                src_ep,
-                dst_ep,
-                bytes,
-                MsgTag {
-                    tenant: *ti,
-                    dst_rank,
-                    round,
-                },
-            );
-        }
-        if let Some(n) = next {
-            ready.push(n);
-        }
-    }
-}
-
-/// One open-loop jobs-mode arrival on the owning shard: draw the destination
-/// rank from the tenant's pattern, inject the message, and schedule the
-/// source's next arrival from its rate process. The twin of the sequential
-/// engine's `spawn_job_message` — identical draw order on the identical
-/// per-endpoint stream.
-#[allow(clippy::too_many_arguments)]
-fn spawn_job_message_par(
-    core: &mut ShardCore<'_>,
-    plan: &MixPlan,
-    jsources: &mut [JPSource],
-    nics: &mut JobNics,
-    si: usize,
-    now: u64,
-    load_scale: f64,
-    w: &MeasurementWindows,
-) {
-    let s = &mut jsources[si];
-    let tenant = &plan.tenants[s.tenant as usize];
-    let JobBehavior::OpenLoop(spec) = &tenant.behavior else {
-        unreachable!("open-loop source on a collective tenant")
-    };
-    let drawn = spec.pattern.dst(s.rank as usize, &mut s.rng);
-    assert!(
-        drawn < tenant.endpoints.len(),
-        "pattern {} returned out-of-range destination {drawn} (tenant has {} ranks)",
-        spec.pattern.name(),
-        tenant.endpoints.len()
-    );
-    let dst_ep = tenant.endpoints[drawn];
-    let endpoint = s.endpoint;
-    let tag = MsgTag::open_loop(s.tenant, drawn as u32);
-    let bytes = s.bytes;
-    inject_job_message_par(core, nics, now, endpoint, dst_ep, bytes, tag);
-    let s = &mut jsources[si];
-    let next = s
-        .rate
-        .next_arrival_ps(&mut s.rt, now, s.ser_ps, load_scale, &mut s.rng);
-    if next < w.measure_end_ps() {
-        core.push(
-            next,
-            key(CLASS_NEXT_MESSAGE, endpoint as u64),
-            PKind::NextMessage { source: si as u32 },
-        );
-    }
-}
-
 /// The sharded conservative parallel simulator.
 ///
-/// Drop-in counterpart to [`crate::Simulator`] driven by
-/// [`crate::SimConfig::shards`]: routers are assigned to worker shards by a
-/// recursive spectral bisection of the topology
+/// Drop-in counterpart to [`crate::Simulator`], selected by
+/// [`crate::SimConfig::shards`] through [`crate::try_simulate`]: routers are
+/// assigned to worker shards by a recursive spectral bisection of the topology
 /// ([`spectralfly_graph::partition_kway`] — minimizing the links crossing
 /// shards minimizes cross-shard traffic), and the shards co-simulate under the
 /// conservative epoch protocol described in the
@@ -1611,20 +1336,8 @@ impl<'a> ParallelSimulator<'a> {
     /// configured link + router latency is zero (the conservative lookahead
     /// would vanish), or if `cfg.shards` is zero.
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
-        assert!(cfg.num_vcs >= 1, "need at least one virtual channel");
-        assert!(
-            cfg.buffer_packets_per_vc >= 1,
-            "need at least one buffer slot per VC"
-        );
+        let router = create_router(net, cfg);
         assert!(cfg.shards >= 1, "shard count must be at least 1");
-        let router = routing::create(&cfg.routing).unwrap_or_else(|| {
-            panic!(
-                "unknown routing algorithm {:?}; registered: {}",
-                cfg.routing,
-                routing::registered_names().join(", ")
-            )
-        });
-        crate::fault::check_config_plan(net, &cfg.faults);
         let lookahead = cfg.link_latency_ps() + cfg.router_latency_ps();
         assert!(
             lookahead > 0,
@@ -1666,14 +1379,7 @@ impl<'a> ParallelSimulator<'a> {
     /// [`ParallelSimulator::run`], returning infeasible-workload and deadlock
     /// conditions as typed errors (see [`crate::Simulator::try_run`]).
     pub fn try_run(&self, workload: &Workload) -> Result<SimResults, SimError> {
-        assert!(
-            self.cfg.jobs.is_none(),
-            "SimConfig::jobs requires steady-state measurement windows (SimConfig::with_windows)"
-        );
-        if self.net.has_faults() {
-            crate::fault::validate_workload(self.net, workload)?;
-        }
-        self.run_finite(workload, None)
+        self.run_mode(workload, None)
     }
 
     /// Run with Poisson-spaced injections at an offered load in `(0, 1]`.
@@ -1696,51 +1402,32 @@ impl<'a> ParallelSimulator<'a> {
         workload: &Workload,
         offered_load: f64,
     ) -> Result<SimResults, SimError> {
-        assert!(
-            offered_load > 0.0 && offered_load <= 1.0,
-            "offered load must be in (0, 1]"
-        );
-        match &self.cfg.windows {
-            None => {
-                assert!(
-                    self.cfg.jobs.is_none(),
-                    "SimConfig::jobs requires steady-state measurement windows \
-                     (SimConfig::with_windows)"
-                );
-                if self.net.has_faults() {
-                    crate::fault::validate_workload(self.net, workload)?;
-                }
-                self.run_finite(workload, Some(offered_load))
-            }
-            Some(w) => {
-                if self.cfg.jobs.is_some() {
-                    if self.net.has_faults() {
-                        crate::fault::validate_steady_pattern(self.net)?;
-                    }
-                    return self.run_steady_jobs(offered_load, w);
-                }
-                if self.net.has_faults() {
-                    if w.pattern.is_some() {
-                        crate::fault::validate_steady_pattern(self.net)?;
-                    } else {
-                        crate::fault::validate_workload(self.net, workload)?;
-                    }
-                }
-                self.run_steady(workload, offered_load, w)
-            }
-        }
+        self.run_mode(workload, Some(offered_load))
     }
 
-    /// Expand the configured fault script against the topology, or `None`
-    /// when no script is configured — the exact twin of
-    /// [`crate::Simulator`]'s expansion, so both engines schedule the same
-    /// timeline.
-    fn fault_timeline(&self, horizon_ps: u64) -> Result<Option<Arc<FaultTimeline>>, SimError> {
-        if self.cfg.fault_script.is_none() {
-            return Ok(None);
-        }
-        let tl = self.cfg.fault_script.expand(self.net.graph(), horizon_ps)?;
-        Ok(Some(Arc::new(tl)))
+    /// Resolve the run mode (the front door shared with the sequential
+    /// engine, so both check and schedule exactly the same) and run it.
+    pub(crate) fn run_mode(
+        &self,
+        workload: &Workload,
+        offered_load: Option<f64>,
+    ) -> Result<SimResults, SimError> {
+        let (mode, timeline) = resolve_run(self.net, self.cfg, workload, offered_load)?;
+        Ok(match mode {
+            RunMode::Finite { offered_load } => {
+                return self.run_finite(workload, offered_load, &timeline)
+            }
+            RunMode::Steady {
+                offered_load,
+                w,
+                pattern,
+            } => self.run_windowed(workload, offered_load, w, pattern.as_ref(), None, &timeline),
+            RunMode::Jobs {
+                offered_load,
+                w,
+                plan,
+            } => self.run_windowed(workload, offered_load, w, None, Some(&plan), &timeline),
+        })
     }
 
     /// Finite drain-to-empty run: one epoch-synchronized co-simulation per
@@ -1751,15 +1438,8 @@ impl<'a> ParallelSimulator<'a> {
         &self,
         workload: &Workload,
         offered_load: Option<f64>,
+        timeline: &Option<Arc<FaultTimeline>>,
     ) -> Result<SimResults, SimError> {
-        if let Some(max_ep) = workload.max_endpoint() {
-            assert!(
-                max_ep < self.net.num_endpoints(),
-                "workload references endpoint {max_ep} but the network has only {}",
-                self.net.num_endpoints()
-            );
-        }
-        let timeline = self.fault_timeline(self.cfg.fault_horizon_ps())?;
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut stats = StatsCollector::default();
         let mut faults = FaultStats::default();
@@ -1795,7 +1475,7 @@ impl<'a> ParallelSimulator<'a> {
                     via_vc: 0,
                     attempts: 0,
                     first_drop_ps: u64::MAX,
-                    tag: MsgTag::open_loop(u32::MAX, 0),
+                    tag: UNTAGGED,
                 });
             }
 
@@ -1806,7 +1486,6 @@ impl<'a> ParallelSimulator<'a> {
                     .enumerate()
                     .map(|(sid, pkts)| {
                         let shared = &shared;
-                        let timeline = &timeline;
                         scope.spawn(move || {
                             let _guard = PoisonGuard(&shared.barrier);
                             let mut core = ShardCore::new(
@@ -1820,24 +1499,10 @@ impl<'a> ParallelSimulator<'a> {
                                 StatsCollector::default(),
                                 phase_start,
                             );
-                            if let Some(tl) = timeline {
-                                // Each phase gets a fresh liveness view
-                                // fast-forwarded to the phase boundary (mask
-                                // flips only — no packets exist yet), then
-                                // chains live fault events from the first
-                                // entry still ahead. Every shard runs the
-                                // identical chain.
-                                let mut fr = Box::new(FaultRuntime::new(self.net, Arc::clone(tl)));
-                                let idx = fr.fast_forward(self.net, phase_start);
-                                if idx < tl.events.len() {
-                                    core.push(
-                                        tl.events[idx].time_ps,
-                                        key(CLASS_FAULT, idx as u64),
-                                        PKind::Fault { idx: idx as u32 },
-                                    );
-                                }
-                                core.fault = Some(fr);
-                            }
+                            // Each phase gets a fresh liveness view
+                            // fast-forwarded to the phase boundary, exactly
+                            // as in the sequential engine.
+                            core.arm_faults(timeline, Some(phase_start));
                             for p in pkts {
                                 let t = p.inject_time_ps;
                                 let k = key(CLASS_INJECT, p.stable_id);
@@ -1864,27 +1529,13 @@ impl<'a> ParallelSimulator<'a> {
             let delivered: u64 = outs.iter().map(|o| o.delivered_packets).sum();
             let failed: u64 = outs.iter().map(|o| o.fstats.failed).sum();
             if delivered + failed < total {
-                let undelivered = total - delivered - failed;
-                let in_queues: usize = outs.iter().map(|o| o.in_queues).sum();
-                let pending: usize = outs.iter().map(|o| o.pending).sum();
-                let occ: u32 = outs.iter().map(|o| o.occ_sum).sum();
-                let parked: usize = outs.iter().map(|o| o.parked).sum();
-                if parked > 0 {
-                    return Err(SimError::Deadlock {
-                        diagnosis: format!(
-                            "simulation deadlocked with {undelivered} undelivered packets and \
-                             {parked} links parked in a cyclic head-of-line wait (link queues: \
-                             {in_queues}, pending injections: {pending}, occupancy sum: {occ}); \
-                             single-FIFO link queues can deadlock across virtual channels when \
-                             buffer_packets_per_vc is very small — increase it"
-                        ),
-                    });
-                }
-                panic!(
-                    "simulation ended with {undelivered} undelivered packets \
-                     (link queues: {in_queues}, pending injections: {pending}, \
-                     occupancy sum: {occ}) — engine invariant violated"
-                );
+                return Err(undelivered_error(
+                    total - delivered - failed,
+                    outs.iter().map(|o| o.parked).sum(),
+                    outs.iter().map(|o| o.in_queues).sum(),
+                    outs.iter().map(|o| o.pending).sum(),
+                    outs.iter().map(|o| o.occ_sum).sum(),
+                ));
             }
             for o in outs {
                 phase_start = phase_start.max(o.phase_end);
@@ -1898,42 +1549,24 @@ impl<'a> ParallelSimulator<'a> {
         Ok(results)
     }
 
-    /// Steady-state run: shard-owned continuous Poisson sources, windowed
-    /// measurement, per-shard sample partials folded by tick index.
-    fn run_steady(
+    /// Windowed steady-state run: shard-owned continuous sources, windowed
+    /// measurement, per-shard sample partials folded by tick index. Without
+    /// a job `plan` each shard drives the workload's Poisson sources on the
+    /// endpoints it owns; with one, each shard runs the jobs runtime for the
+    /// ranks it owns (see the `jobs` module).
+    fn run_windowed(
         &self,
         workload: &Workload,
         offered_load: f64,
         w: &MeasurementWindows,
-    ) -> Result<SimResults, SimError> {
-        if let Some(max_ep) = workload.max_endpoint() {
-            assert!(
-                max_ep < self.net.num_endpoints(),
-                "workload references endpoint {max_ep} but the network has only {}",
-                self.net.num_endpoints()
-            );
-        }
-        let timeline = self.fault_timeline(w.deadline_ps())?;
-        let alive_map: Option<AliveEndpoints> =
-            (self.net.has_faults() && w.pattern.is_some()).then(|| AliveEndpoints::new(self.net));
-        let pattern_endpoints = alive_map
-            .as_ref()
-            .map(|m| m.alive.len())
-            .unwrap_or(self.net.num_endpoints());
-        let pattern: Option<Box<dyn crate::pattern::TrafficPattern>> =
-            w.pattern.as_deref().map(|spec| {
-                crate::pattern::create(spec, &crate::pattern::PatternCtx::new(pattern_endpoints))
-                    .unwrap_or_else(|e| panic!("{e}"))
-            });
+        pattern: Option<&LivePattern>,
+        plan: Option<&MixPlan>,
+        timeline: &Option<Arc<FaultTimeline>>,
+    ) -> SimResults {
         let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
-
-        let mut templates: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.net.num_endpoints()];
-        for phase in &workload.phases {
-            for m in &phase.messages {
-                templates[m.src].push((m.dst, m.bytes));
-            }
+        if let Some(plan) = plan {
+            stats.init_tenants(plan.tenant_descs());
         }
-
         let ivm = w.sample_interval_ps.max(1);
         let deadline = w.deadline_ps();
         let shared = EpochShared::new(self.shards, self.net, self.cfg);
@@ -1941,167 +1574,10 @@ impl<'a> ParallelSimulator<'a> {
             let handles: Vec<_> = (0..self.shards)
                 .map(|sid| {
                     let shared = &shared;
-                    let templates = &templates;
-                    let pattern = pattern.as_deref();
-                    let alive = alive_map.as_ref();
-                    let timeline = &timeline;
+                    // Every shard's collector starts as the armed, empty main one.
+                    let shard_stats = stats.clone();
                     scope.spawn(move || {
                         let _guard = PoisonGuard(&shared.barrier);
-                        let mut core = ShardCore::new(
-                            sid,
-                            self.shards,
-                            self.net,
-                            self.cfg,
-                            self.router.as_ref(),
-                            &self.owner,
-                            self.lookahead,
-                            StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps()),
-                            0,
-                        );
-                        if let Some(tl) = timeline {
-                            let fr = Box::new(FaultRuntime::new(self.net, Arc::clone(tl)));
-                            if !tl.events.is_empty() {
-                                core.push(
-                                    tl.events[0].time_ps,
-                                    key(CLASS_FAULT, 0),
-                                    PKind::Fault { idx: 0 },
-                                );
-                            }
-                            core.fault = Some(fr);
-                        }
-                        let mut sources: Vec<PSource> = templates
-                            .iter()
-                            .enumerate()
-                            .filter(|(e, t)| {
-                                !t.is_empty()
-                                    && alive.is_none_or(|m| m.rank[*e] != u32::MAX)
-                                    && self.owner[self.net.router_of_endpoint(*e) as usize] as usize
-                                        == sid
-                            })
-                            .map(|(endpoint, templates)| PSource {
-                                endpoint,
-                                templates: templates.clone(),
-                                next_template: 0,
-                                nic_free_ps: 0,
-                                rng: source_rng(self.cfg.seed, endpoint),
-                                msg_counter: 0,
-                                pkt_counter: 0,
-                            })
-                            .collect();
-                        for (si, src) in sources.iter_mut().enumerate() {
-                            let first_bytes = src.templates[0].1;
-                            let gap = exp_gap(self.cfg, first_bytes, offered_load, &mut src.rng);
-                            if gap < w.measure_end_ps() {
-                                core.push(
-                                    gap,
-                                    key(CLASS_NEXT_MESSAGE, src.endpoint as u64),
-                                    PKind::NextMessage { source: si as u32 },
-                                );
-                            }
-                        }
-                        // Sampling is event-free: each shard folds its local
-                        // partial whenever event time crosses a tick boundary
-                        // (and below, after the loop, for the trailing ticks).
-                        core.arm_sampler(ivm, deadline);
-                        run_epochs(&mut core, shared, Some(deadline), |c, ev| {
-                            c.flush_sample_ticks(ev.time);
-                            match ev.kind {
-                                PKind::NextMessage { source } => spawn_message(
-                                    c,
-                                    &mut sources,
-                                    source as usize,
-                                    ev.time,
-                                    offered_load,
-                                    w,
-                                    pattern,
-                                    alive,
-                                ),
-                                _ => c.handle_core(ev),
-                            }
-                        });
-                        core.flush_sample_ticks(deadline);
-                        core.into_outcome()
-                    })
-                })
-                .collect();
-            join_shards(handles)
-        });
-
-        let nticks = outs[0].samples.len();
-        debug_assert!(
-            outs.iter().all(|o| o.samples.len() == nticks),
-            "shards disagree on the sampling tick count"
-        );
-        let links = self.net.num_directed_links().max(1);
-        for k in 0..nticks {
-            let t_ps = outs[0].samples[k].t_ps;
-            let bytes: u64 = outs.iter().map(|o| o.samples[k].bytes).sum();
-            let packets: u64 = outs.iter().map(|o| o.samples[k].packets).sum();
-            let queued: u64 = outs.iter().map(|o| o.samples[k].queued).sum();
-            let parked: usize = outs.iter().map(|o| o.samples[k].parked).sum();
-            stats.record_sample(IntervalSample {
-                t_ps,
-                delivered_bytes: bytes,
-                delivered_packets: packets,
-                mean_queue_depth: queued as f64 / links as f64,
-                blocked_links: parked,
-            });
-        }
-        let mut faults = FaultStats::default();
-        for o in outs {
-            stats.record_engine(&o.counters);
-            faults.merge(&o.fstats);
-            stats.absorb(o.stats);
-        }
-        let mut results = stats.finish();
-        results.faults = faults;
-        Ok(results)
-    }
-
-    /// Steady-state multi-tenant jobs run ([`SimConfig::jobs`]): the parallel
-    /// twin of the sequential engine's jobs mode. The mix is resolved once on
-    /// the main thread (deterministic in the seed, so every engine and shard
-    /// count executes the identical plan); every shard arms the same tenant
-    /// table and holds a full copy of each collective's dependency tracker but
-    /// drives — and at the end reports — only the ranks whose endpoints it
-    /// owns.
-    ///
-    /// Collective releases are **shard-local by construction**: all packets of
-    /// a message deliver at the destination rank's router (the shard owning
-    /// that rank), and the groups the delivery releases belong to that same
-    /// rank, so the sends they fire originate from an owned endpoint. No
-    /// cross-shard job state is ever needed.
-    ///
-    /// # Panics
-    /// On a malformed mix spec or one that does not fit the surviving
-    /// endpoints, mirroring unknown routing/pattern names.
-    fn run_steady_jobs(
-        &self,
-        offered_load: f64,
-        w: &MeasurementWindows,
-    ) -> Result<SimResults, SimError> {
-        let mix = self.cfg.jobs.as_deref().expect("jobs run without a mix");
-        let alive = self.net.alive_endpoints();
-        let plan = job::resolve_mix(mix, &JobCtx::new(), &alive, self.cfg.seed)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let plan = &plan;
-        let timeline = self.fault_timeline(w.deadline_ps())?;
-        let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
-        stats.init_tenants(plan.tenant_descs());
-
-        let ivm = w.sample_interval_ps.max(1);
-        let deadline = w.deadline_ps();
-        let shared = EpochShared::new(self.shards, self.net, self.cfg);
-        let outs: Vec<ShardOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards)
-                .map(|sid| {
-                    let shared = &shared;
-                    let timeline = &timeline;
-                    scope.spawn(move || {
-                        let _guard = PoisonGuard(&shared.barrier);
-                        let mut shard_stats =
-                            StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
-                        shard_stats.init_tenants(plan.tenant_descs());
                         let mut core = ShardCore::new(
                             sid,
                             self.shards,
@@ -2113,133 +1589,57 @@ impl<'a> ParallelSimulator<'a> {
                             shard_stats,
                             0,
                         );
-                        if let Some(tl) = timeline {
-                            let fr = Box::new(FaultRuntime::new(self.net, Arc::clone(tl)));
-                            if !tl.events.is_empty() {
-                                core.push(
-                                    tl.events[0].time_ps,
-                                    key(CLASS_FAULT, 0),
-                                    PKind::Fault { idx: 0 },
-                                );
-                            }
-                            core.fault = Some(fr);
-                        }
-                        let owns_ep = |ep: usize| {
+                        core.arm_faults(timeline, None);
+                        let owns = |ep: usize| {
                             self.owner[self.net.router_of_endpoint(ep) as usize] as usize == sid
                         };
-                        // Full tracker copies; sources only for owned ranks.
-                        let mut collectives: Vec<(u32, CollectiveState)> = Vec::new();
-                        let mut coll_of_tenant: Vec<Option<usize>> = vec![None; plan.tenants.len()];
-                        let mut jsources: Vec<JPSource> = Vec::new();
-                        for (ti, t) in plan.tenants.iter().enumerate() {
-                            match &t.behavior {
-                                JobBehavior::Collective(sched) => {
-                                    coll_of_tenant[ti] = Some(collectives.len());
-                                    collectives.push((
-                                        ti as u32,
-                                        CollectiveState::new(Arc::new(sched.clone())),
-                                    ));
-                                }
-                                JobBehavior::OpenLoop(spec) => {
-                                    for (rank, &ep) in t.endpoints.iter().enumerate() {
-                                        if !owns_ep(ep) {
-                                            continue;
-                                        }
-                                        jsources.push(JPSource {
-                                            endpoint: ep,
-                                            tenant: ti as u32,
-                                            rank: rank as u32,
-                                            bytes: spec.bytes,
-                                            ser_ps: self.cfg.injection_serialization_ps(spec.bytes),
-                                            rate: spec.rate.clone(),
-                                            rt: RateRuntime::default(),
-                                            rng: job::source_rng(self.cfg.seed, ep),
-                                        });
-                                    }
+                        let n = self.net.num_endpoints();
+                        let mut jobs =
+                            plan.map(|p| JobsRuntime::new(p, self.cfg, n, offered_load, w, owns));
+                        // Each steady source draws from its own `(seed, endpoint)`
+                        // stream, so injection is a pure function of the endpoint.
+                        let mut sources: Vec<(StdRng, Source)> = Vec::new();
+                        match &mut jobs {
+                            Some(jobs) => jobs.start(&mut core),
+                            None => {
+                                sources = Source::all(self.net, workload, pattern, owns)
+                                    .into_iter()
+                                    .map(|s| (source_rng(self.cfg.seed, s.endpoint), s))
+                                    .collect();
+                                for (si, (rng, s)) in sources.iter_mut().enumerate() {
+                                    s.start(&mut core, self.cfg, si, offered_load, w, rng);
                                 }
                             }
                         }
-                        let mut nics = JobNics::new(self.net.num_endpoints());
-                        // First arrival of every owned open-loop source.
-                        for (si, s) in jsources.iter_mut().enumerate() {
-                            let t = s.rate.next_arrival_ps(
-                                &mut s.rt,
-                                0,
-                                s.ser_ps,
-                                offered_load,
-                                &mut s.rng,
-                            );
-                            if t < w.measure_end_ps() {
-                                core.push(
-                                    t,
-                                    key(CLASS_NEXT_MESSAGE, s.endpoint as u64),
-                                    PKind::NextMessage { source: si as u32 },
-                                );
-                            }
-                        }
-                        // Fire owned ranks' round-0 groups at t = 0.
-                        for ci in 0..collectives.len() {
-                            let ti = collectives[ci].0 as usize;
-                            let eps = &plan.tenants[ti].endpoints;
-                            let ready = collectives[ci].1.ready_at_start(|rank| owns_ep(eps[rank]));
-                            for g in ready {
-                                fire_collective_par(
-                                    &mut core,
-                                    plan,
-                                    &mut collectives,
-                                    &mut nics,
-                                    ci,
-                                    g,
-                                    0,
-                                );
-                            }
-                        }
+                        // Sampling is event-free: each shard folds its local
+                        // partial whenever event time crosses a tick boundary
+                        // (and below, after the loop, for the trailing ticks).
                         core.arm_sampler(ivm, deadline);
                         run_epochs(&mut core, shared, Some(deadline), |c, ev| {
                             c.flush_sample_ticks(ev.time);
-                            match ev.kind {
-                                PKind::NextMessage { source } => spawn_job_message_par(
-                                    c,
-                                    plan,
-                                    &mut jsources,
-                                    &mut nics,
-                                    source as usize,
-                                    ev.time,
-                                    offered_load,
-                                    w,
-                                ),
+                            match (ev.kind, &mut jobs) {
+                                (PKind::NextMessage { source }, Some(jobs)) => {
+                                    jobs.on_arrival(c, source as usize, ev.time)
+                                }
+                                (PKind::NextMessage { source }, None) => {
+                                    let si = source as usize;
+                                    let (rng, s) = &mut sources[si];
+                                    let (cfg, now) = (self.cfg, ev.time);
+                                    s.arrive(c, cfg, si, now, offered_load, w, pattern, rng);
+                                }
                                 _ => c.handle_core(ev),
                             }
-                            // Release whatever the event completed. At most
-                            // one message completes per event, and both the
-                            // completed message's rank and the groups it
-                            // unblocks are owned here.
-                            while let Some((tag, t)) = c.jobs_completed.pop() {
-                                let ci = coll_of_tenant[tag.tenant as usize]
-                                    .expect("collective tag on a non-collective tenant");
-                                if let Some(g) =
-                                    collectives[ci].1.on_delivered(tag.dst_rank, tag.round)
-                                {
-                                    fire_collective_par(
-                                        c,
-                                        plan,
-                                        &mut collectives,
-                                        &mut nics,
-                                        ci,
-                                        g,
-                                        t,
-                                    );
+                            if let Some(jobs) = &mut jobs {
+                                // Release whatever the event completed (at
+                                // most one message delivers per event).
+                                while let Some((tag, t)) = c.jobs_completed.pop() {
+                                    jobs.on_delivered(c, tag, t);
                                 }
                             }
                         });
                         core.flush_sample_ticks(deadline);
-                        // Owned ranks only: every shard holds a full tracker
-                        // copy (trivially complete ranks are complete in every
-                        // copy), so the merged total counts each rank once.
-                        for (ti, cs) in &collectives {
-                            let eps = &plan.tenants[*ti as usize].endpoints;
-                            let n = cs.ranks_completed_among(|rank| owns_ep(eps[rank]));
-                            core.stats.add_tenant_ranks_completed(*ti, n);
+                        if let Some(jobs) = &jobs {
+                            jobs.report_ranks_completed(&mut core.stats);
                         }
                         core.into_outcome()
                     })
@@ -2276,7 +1676,7 @@ impl<'a> ParallelSimulator<'a> {
         }
         let mut results = stats.finish();
         results.faults = faults;
-        Ok(results)
+        results
     }
 }
 

@@ -23,7 +23,7 @@
 use super::{choose_port, packetize_phase, Event, EventKind, Packet};
 use crate::config::SimConfig;
 use crate::network::SimNetwork;
-use crate::routing::{self, RouteScratch, Router};
+use crate::routing::{RouteScratch, Router};
 use crate::stats::{EngineCounters, SimResults, StatsCollector};
 use crate::workload::Workload;
 use rand::{rngs::StdRng, SeedableRng};
@@ -117,19 +117,7 @@ impl<'a> ReferenceSimulator<'a> {
     /// # Panics
     /// If `cfg.routing` does not name a registered routing algorithm.
     pub fn new(net: &'a SimNetwork, cfg: &'a SimConfig) -> Self {
-        assert!(cfg.num_vcs >= 1, "need at least one virtual channel");
-        assert!(
-            cfg.buffer_packets_per_vc >= 1,
-            "need at least one buffer slot per VC"
-        );
-        let router = routing::create(&cfg.routing).unwrap_or_else(|| {
-            panic!(
-                "unknown routing algorithm {:?}; registered: {}",
-                cfg.routing,
-                routing::registered_names().join(", ")
-            )
-        });
-        crate::fault::check_config_plan(net, &cfg.faults);
+        let router = super::create_router(net, cfg);
         ReferenceSimulator { net, cfg, router }
     }
 
@@ -406,13 +394,15 @@ impl<'a> ReferenceSimulator<'a> {
             st.phase_end = st.phase_end.max(now);
             return;
         }
+        let p = &mut st.packets[pi];
         let port = choose_port(
             self.net,
             self.cfg,
             self.router.as_ref(),
-            &mut st.packets,
-            pi,
+            &mut p.routing,
             router,
+            p.dst_router,
+            p.hops,
             &st.link_qlen,
             &st.occupancy,
             &st.router_occ,

@@ -477,7 +477,6 @@ pub struct CollectiveState {
     /// Per-rank countdown: `rounds` group-firings plus every inbound
     /// delivery; a rank completes exactly when it reaches zero.
     rank_left: Vec<u64>,
-    ranks_completed: usize,
 }
 
 impl CollectiveState {
@@ -497,18 +496,11 @@ impl CollectiveState {
             }
             *left = rounds as u64 + inbound_total;
         }
-        let mut ranks_completed = 0;
-        for &left in &rank_left {
-            if left == 0 {
-                ranks_completed += 1;
-            }
-        }
         CollectiveState {
             sched,
             deps_left,
             fired: vec![false; deps_left_len(rounds, &rank_left)],
             rank_left,
-            ranks_completed,
         }
     }
 
@@ -562,10 +554,10 @@ impl CollectiveState {
     /// Ranks whose every group has fired and every inbound message has been
     /// delivered.
     pub fn ranks_completed(&self) -> usize {
-        self.ranks_completed
+        self.ranks_completed_among(|_| true)
     }
 
-    /// Completed ranks accepted by `owns` — the sharded engine's end-of-run
+    /// Completed ranks accepted by `owns` — the jobs runtime's end-of-run
     /// report. Every shard holds a full tracker copy (trivially complete
     /// ranks are complete in *every* copy), so each shard counts only the
     /// ranks it owns and the merged total counts every rank exactly once.
@@ -580,9 +572,6 @@ impl CollectiveState {
     fn retire_rank_unit(&mut self, rank: usize) {
         debug_assert!(self.rank_left[rank] > 0, "rank {rank} over-completed");
         self.rank_left[rank] -= 1;
-        if self.rank_left[rank] == 0 {
-            self.ranks_completed += 1;
-        }
     }
 
     fn release(&mut self, g: usize) -> Option<usize> {

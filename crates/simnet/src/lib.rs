@@ -94,7 +94,7 @@ pub mod workload;
 pub use config::{MeasurementWindows, OraclePolicy, RoutingAlgorithm, SimConfig};
 pub use engine::parallel::ParallelSimulator;
 pub use engine::reference::ReferenceSimulator;
-pub use engine::{SimError, Simulator};
+pub use engine::{try_simulate, SimError, Simulator};
 pub use fault::{
     FaultError, FaultEvent, FaultEventKind, FaultModel, FaultPlan, FaultRegistry, FaultScript,
     FaultTimeline,

@@ -120,6 +120,30 @@ impl FaultStats {
         self.recovered += other.recovered;
         self.max_recovery_ps = self.max_recovery_ps.max(other.max_recovery_ps);
     }
+
+    /// Count one typed packet drop.
+    pub(crate) fn record_drop(&mut self, reason: crate::engine::DropReason) {
+        use crate::engine::DropReason;
+        match reason {
+            DropReason::LinkDown => self.dropped_link_down += 1,
+            DropReason::RouterDown => self.dropped_router_down += 1,
+            DropReason::NoRoute => self.dropped_no_route += 1,
+            DropReason::TtlExceeded => self.dropped_ttl += 1,
+        }
+    }
+
+    /// Count a delivery at `now`. A packet first dropped at `first_drop_ps`
+    /// (`u64::MAX` = never) that still made it home recovered: its recovery
+    /// time is first drop to delivery.
+    pub(crate) fn record_delivery(&mut self, first_drop_ps: u64, now: u64) {
+        self.delivered += 1;
+        if first_drop_ps != u64::MAX {
+            let rec = now.saturating_sub(first_drop_ps);
+            self.recovered += 1;
+            self.total_recovery_ps += rec;
+            self.max_recovery_ps = self.max_recovery_ps.max(rec);
+        }
+    }
 }
 
 /// One sampling tick of the steady-state time-series (see
