@@ -1,11 +1,11 @@
-//! Criterion benches for the analysis kernels: BFS metrics, Lanczos spectral gap, and the
-//! multilevel bisection partitioner — including the multilevel-vs-flat ablation called out
-//! in DESIGN.md.
+//! Criterion benches for the analysis kernels: BFS metrics, Lanczos spectral gap, the full
+//! spectral summary on a bipartite LPS graph, and the multilevel bisection partitioner —
+//! including the multilevel-vs-flat ablation called out in DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spectralfly_graph::metrics::diameter_and_mean_distance;
 use spectralfly_graph::partition::{bisect, BisectConfig};
-use spectralfly_graph::spectral::lambda2;
+use spectralfly_graph::spectral::{lambda2, spectral_summary};
 use spectralfly_topology::{LpsGraph, SlimFlyGraph, Topology};
 
 fn bench_metrics(c: &mut Criterion) {
@@ -31,6 +31,12 @@ fn bench_spectral(c: &mut Criterion) {
             b.iter(|| lambda2(lps.graph(), iters, 7))
         });
     }
+    // The path `perfbench` measures: one Lanczos run that deflates both trivial
+    // eigenvectors of a bipartite (PGL₂) LPS graph.
+    let bipartite = LpsGraph::new(5, 13).unwrap();
+    group.bench_function("spectral_summary_lps_5_13_iters100", |b| {
+        b.iter(|| spectral_summary(bipartite.graph(), 100, 7))
+    });
     group.finish();
 }
 

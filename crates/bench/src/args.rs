@@ -111,7 +111,7 @@ fn usage_error(msg: &str) -> ! {
 }
 
 /// The path-oracle policy selected on the command line (`--oracle
-/// auto|dense|landmark|cayley`, default `auto`). Like `--shards`, this is a
+/// auto|dense|landmark|cayley`, falling back to `default`). Like `--shards`, this is a
 /// memory/performance knob, never a semantics knob: every backing answers
 /// minimal-path queries identically, so results do not depend on it. `cayley`
 /// is only honoured by binaries that construct algebraic topologies (the
@@ -119,12 +119,14 @@ fn usage_error(msg: &str) -> ! {
 /// [`spectralfly_topology::LpsGraph::cayley_oracle`]); generic sweeps reject
 /// it through [`spectralfly_simnet::SimNetwork::with_policy`].
 ///
-/// # Panics
-/// If the value is not one of the four policy names.
-pub fn oracle_from_args() -> OraclePolicy {
+/// A value that is not a policy name is a usage error: the binary prints it
+/// on stderr and exits with status 2.
+pub fn oracle_from_args(default: OraclePolicy) -> OraclePolicy {
     match arg_str("--oracle") {
-        None => OraclePolicy::default(),
-        Some(s) => s.parse().unwrap_or_else(|e| panic!("--oracle: {e}")),
+        None => default,
+        Some(s) => s
+            .parse()
+            .unwrap_or_else(|e| usage_error(&format!("--oracle: {e}"))),
     }
 }
 
@@ -251,20 +253,19 @@ pub fn pattern_names_from_args(default: &[&str]) -> Vec<String> {
 /// builds its networks through [`crate::SimTopology::faulted_network`], so the
 /// same flag degrades every topology of a sweep with one seeded plan.
 ///
-/// # Panics
-/// If the spec does not parse (the message names the registered fault models).
+/// A missing or unparsable spec is a usage error: the binary prints it (the
+/// message names the registered fault models) on stderr and exits with
+/// status 2.
 pub fn faults_from_args() -> FaultPlan {
     let args: Vec<String> = std::env::args().collect();
-    let spec = args
-        .iter()
-        .position(|a| a == "--faults")
-        .map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("--faults requires a fault-plan spec, e.g. links(0.1)"))
-                .clone()
-        })
-        .unwrap_or_else(|| "none".to_string());
-    let plan = FaultPlan::parse(&spec).unwrap_or_else(|e| panic!("{e}"));
+    let spec = match args.iter().position(|a| a == "--faults") {
+        None => "none".to_string(),
+        Some(i) => args
+            .get(i + 1)
+            .cloned()
+            .unwrap_or_else(|| usage_error("--faults requires a fault-plan spec, e.g. links(0.1)")),
+    };
+    let plan = FaultPlan::parse(&spec).unwrap_or_else(|e| usage_error(&format!("--faults: {e}")));
     plan.with_seed(arg_u64("--fault-seed", FaultPlan::DEFAULT_SEED))
 }
 
@@ -278,10 +279,11 @@ pub fn faults_from_args() -> FaultPlan {
 /// failure/recovery events *during* it: packets are dropped and retransmitted,
 /// and routing re-converges live.
 ///
-/// # Panics
-/// If the spec does not parse (the message points at the offending sub-spec).
+/// An unparsable spec is a usage error: the binary prints it (the message
+/// points at the offending sub-spec) on stderr and exits with status 2.
 pub fn fault_script_from_args() -> FaultScript {
     let spec = arg_str("--fault-script").unwrap_or_else(|| "none".to_string());
-    let script = FaultScript::parse(&spec).unwrap_or_else(|e| panic!("{e}"));
+    let script =
+        FaultScript::parse(&spec).unwrap_or_else(|e| usage_error(&format!("--fault-script: {e}")));
     script.with_seed(arg_u64("--fault-seed", FaultPlan::DEFAULT_SEED))
 }

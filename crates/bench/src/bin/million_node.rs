@@ -28,7 +28,7 @@
 //! * offered load defaults to 5% of injection bandwidth: the paper's
 //!   million-endpoint question is feasibility and memory, not saturation.
 
-use spectralfly_bench::{append_entry, arg_str, arg_u64, fmt, shards_from_args};
+use spectralfly_bench::{append_entry, arg_str, arg_u64, fmt, oracle_from_args, shards_from_args};
 use spectralfly_graph::OracleError;
 use spectralfly_simnet::{
     try_simulate, MeasurementWindows, OraclePolicy, RoutingHarness, SimConfig, SimNetwork,
@@ -70,8 +70,6 @@ fn build_network(lps: &LpsGraph, policy: OraclePolicy) -> Result<SimNetwork, Ora
 /// Why the run cannot start; printed to stderr with exit status 2.
 #[derive(Debug)]
 enum SetupError {
-    /// `--oracle` names no known policy.
-    BadOracle(String),
     /// The chosen oracle cannot represent the fabric.
     Unrepresentable {
         policy: OraclePolicy,
@@ -84,7 +82,6 @@ enum SetupError {
 impl std::fmt::Display for SetupError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SetupError::BadOracle(why) => write!(f, "--oracle: {why}"),
             SetupError::Unrepresentable {
                 policy,
                 fabric,
@@ -119,11 +116,7 @@ fn main() {
 fn run() -> Result<(), SetupError> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (p, q) = if smoke { (5u64, 47u64) } else { (5u64, 103u64) };
-    let policy: OraclePolicy = arg_str("--oracle")
-        .as_deref()
-        .unwrap_or("cayley")
-        .parse()
-        .map_err(SetupError::BadOracle)?;
+    let policy = oracle_from_args(OraclePolicy::Cayley);
     let load = arg_u64("--load-pct", 5) as f64 / 100.0;
     let seed = arg_u64("--seed", 0x106);
     let shards = shards_from_args();

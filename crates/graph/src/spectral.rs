@@ -9,6 +9,15 @@
 //!   (the all-ones vector for `+k` and, for bipartite graphs, the 2-colouring sign vector
 //!   for `-k`), which is what the experiment harness uses for graphs with thousands to
 //!   hundreds of thousands of vertices.
+//!
+//! [`spectral_summary`], [`lambda2`], [`lambda_nontrivial`], [`mu1`] and [`is_ramanujan`]
+//! all read one Lanczos run per call, which deflates the all-ones vector plus, for a
+//! bipartite graph, the sign vector: λ₂ is its top Ritz value and λ(G) its
+//! larger-magnitude extreme. For non-bipartite graphs λ₂ is therefore bit-identical to a
+//! ones-only run; for bipartite graphs the sign-vector deflation removes only −k, so λ₂
+//! agrees with a ones-only run up to round-off. The reorthogonalization is one fused
+//! modified Gram–Schmidt pass per iteration whose sums run in the same order as a
+//! `dot`-then-`axpy` sweep per vector, so fusing changes no bits.
 
 use crate::csr::CsrGraph;
 use crate::metrics::{bfs_distances, UNREACHABLE};
@@ -178,11 +187,31 @@ fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
     }
 }
 
-fn orthogonalize_against(v: &mut [f64], basis: &[Vec<f64>]) {
-    for b in basis {
-        let proj = dot(v, b);
-        axpy(v, -proj, b);
+/// Modified Gram–Schmidt: remove from `w` its component along each unit vector of
+/// `basis`, in order. The update of `w` against vector `i` and the projection of `w`
+/// onto vector `i + 1` share one pass over `w`; each projection sums in `dot`'s index
+/// order, so the result is bit-identical to a `dot` sweep followed by an `axpy` sweep
+/// per vector.
+fn orthogonalize_against<'a>(w: &mut [f64], basis: impl IntoIterator<Item = &'a Vec<f64>>) {
+    let mut basis = basis.into_iter();
+    let Some(mut b) = basis.next() else {
+        return;
+    };
+    let mut proj = dot(w, b);
+    for next in basis {
+        let p = proj;
+        proj = w
+            .iter_mut()
+            .zip(b)
+            .zip(next)
+            .map(|((wk, bk), nk)| {
+                *wk += -p * bk;
+                *wk * nk
+            })
+            .sum();
+        b = next;
     }
+    axpy(w, -proj, b);
 }
 
 /// Lanczos iteration on the adjacency operator of `g`, restricted to the orthogonal
@@ -191,6 +220,12 @@ fn orthogonalize_against(v: &mut [f64], basis: &[Vec<f64>]) {
 /// Returns the Ritz values (eigenvalue estimates) in ascending order. With full
 /// reorthogonalization and `iters` around 80–150 the extreme Ritz values are accurate to
 /// well below the tolerances used by the Ramanujan test for the graph sizes in the paper.
+///
+/// The basis keeps one `Vec` per Lanczos vector (the newest one is the current `v`);
+/// apart from those, the loop reuses a single work vector and allocates nothing. The
+/// vectors are separate allocations on purpose: at 10⁵ vertices each one fits in heap
+/// a preceding simulation just freed, where one contiguous `iters × n` block would be
+/// freshly mapped and raise peak RSS by the whole basis size.
 pub fn lanczos_ritz_values(
     g: &CsrGraph,
     deflate: &[Vec<f64>],
@@ -211,26 +246,24 @@ pub fn lanczos_ritz_values(
     }
 
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m);
+    basis.push(v);
     let mut alpha = Vec::with_capacity(m);
-    let mut beta: Vec<f64> = Vec::new();
+    let mut beta: Vec<f64> = Vec::with_capacity(m);
     let mut w = vec![0.0; n];
-    let mut prev: Option<Vec<f64>> = None;
 
     for j in 0..m {
-        g.adjacency_matvec(&v, &mut w);
-        let a_j = dot(&w, &v);
+        let v = &basis[j];
+        g.adjacency_matvec(v, &mut w);
+        let a_j = dot(&w, v);
         alpha.push(a_j);
         // w = A v - a_j v - b_{j-1} v_{j-1}
-        axpy(&mut w, -a_j, &v);
-        if let Some(p) = &prev {
-            let b_prev = *beta.last().unwrap();
-            axpy(&mut w, -b_prev, p);
+        axpy(&mut w, -a_j, v);
+        if j > 0 {
+            axpy(&mut w, -beta[j - 1], &basis[j - 1]);
         }
-        // Full reorthogonalization against the deflation space and all previous Lanczos vectors.
-        orthogonalize_against(&mut w, deflate);
-        orthogonalize_against(&mut w, &basis);
-        orthogonalize_against(&mut w, std::slice::from_ref(&v));
-        basis.push(v.clone());
+        // Full reorthogonalization against the deflation space and every Lanczos vector
+        // so far, v included, in one fused pass.
+        orthogonalize_against(&mut w, deflate.iter().chain(&basis));
         if j + 1 == m {
             break;
         }
@@ -239,9 +272,7 @@ pub fn lanczos_ritz_values(
             break; // invariant subspace found
         }
         beta.push(b_j);
-        prev = Some(v);
-        v = w.iter().map(|x| x / b_j).collect();
-        w = vec![0.0; n];
+        basis.push(w.iter().map(|x| x / b_j).collect());
     }
     tridiagonal_eigenvalues(&alpha, &beta[..alpha.len().saturating_sub(1)])
 }
@@ -271,61 +302,86 @@ pub fn bipartite_sign_vector(g: &CsrGraph) -> Option<Vec<f64>> {
     Some(color.iter().map(|&c| c as f64).collect())
 }
 
-/// The second largest (signed) adjacency eigenvalue λ₂ of a connected `k`-regular graph.
-pub fn lambda2(g: &CsrGraph, iters: usize, seed: u64) -> f64 {
-    let n = g.num_vertices();
-    assert!(n >= 2, "lambda2 needs at least two vertices");
-    let ones = vec![1.0 / (n as f64).sqrt(); n];
-    let ritz = lanczos_ritz_values(g, &[ones], iters, seed);
-    *ritz
-        .last()
-        .expect("Lanczos produced at least one Ritz value")
+/// The two nontrivial extremes of a connected regular graph's adjacency spectrum, from
+/// one Lanczos run.
+struct NontrivialExtremes {
+    lambda2: f64,
+    lambda_nontrivial: f64,
+    bipartite: bool,
 }
 
-/// λ(G): the largest-magnitude adjacency eigenvalue not equal to ±k, for a connected
-/// `k`-regular graph. Deflates the all-ones vector and, if bipartite, the sign vector.
-pub fn lambda_nontrivial(g: &CsrGraph, iters: usize, seed: u64) -> f64 {
+/// The one Lanczos run behind every spectral query here. It deflates the unit all-ones
+/// vector (eigenvalue `+k`) and, when the graph is bipartite, the unit 2-colouring sign
+/// vector (eigenvalue `−k`). λ₂ is the top Ritz value; λ(G) is whichever extreme Ritz
+/// value has the larger magnitude.
+fn nontrivial_extremes(g: &CsrGraph, iters: usize, seed: u64) -> NontrivialExtremes {
     let n = g.num_vertices();
+    assert!(n >= 2, "spectral analysis needs at least two vertices");
+    let sign = bipartite_sign_vector(g);
+    let bipartite = sign.is_some();
     let mut deflate = vec![vec![1.0 / (n as f64).sqrt(); n]];
-    if let Some(sign) = bipartite_sign_vector(g) {
+    if let Some(sign) = sign {
         let nv = norm(&sign);
         deflate.push(sign.into_iter().map(|x| x / nv).collect());
     }
     let ritz = lanczos_ritz_values(g, &deflate, iters, seed);
-    let lo = *ritz.first().unwrap();
-    let hi = *ritz.last().unwrap();
-    if lo.abs() > hi.abs() {
-        lo
-    } else {
-        hi
+    let lo = *ritz
+        .first()
+        .expect("Lanczos produced at least one Ritz value");
+    let hi = *ritz
+        .last()
+        .expect("Lanczos produced at least one Ritz value");
+    NontrivialExtremes {
+        lambda2: hi,
+        lambda_nontrivial: if lo.abs() > hi.abs() { lo } else { hi },
+        bipartite,
     }
+}
+
+/// The second largest (signed) adjacency eigenvalue λ₂ of a connected `k`-regular graph.
+///
+/// Runs the same single Lanczos pass as [`spectral_summary`]; see its notes on what is
+/// deflated and how exact the value is.
+pub fn lambda2(g: &CsrGraph, iters: usize, seed: u64) -> f64 {
+    nontrivial_extremes(g, iters, seed).lambda2
+}
+
+/// λ(G): the largest-magnitude adjacency eigenvalue not equal to ±k, for a connected
+/// `k`-regular graph. Deflates the all-ones vector and, if bipartite, the sign vector,
+/// in the same single Lanczos pass as [`spectral_summary`].
+pub fn lambda_nontrivial(g: &CsrGraph, iters: usize, seed: u64) -> f64 {
+    nontrivial_extremes(g, iters, seed).lambda_nontrivial
 }
 
 /// Full spectral summary of a connected `k`-regular graph.
 ///
 /// `iters` controls Lanczos accuracy; 100 is ample for every instance in the paper.
+///
+/// λ₂ and λ(G) come from **one** Lanczos run that deflates the all-ones vector and, for
+/// a bipartite graph, the 2-colouring sign vector as well. For a non-bipartite graph only
+/// the all-ones vector is deflated, so λ₂ is bit-identical to the top Ritz value of a
+/// [`lanczos_ritz_values`] run deflating the all-ones vector alone. For a bipartite graph
+/// the sign-vector deflation removes only the eigenvalue −k, so λ₂ equals that ones-only
+/// value in exact arithmetic and differs from it at round-off (≈ 1e-12 on LPS(5,47)).
 pub fn spectral_summary(g: &CsrGraph, iters: usize, seed: u64) -> SpectralSummary {
     let k = g
         .regular_degree()
         .expect("spectral_summary requires a regular graph");
-    let l2 = lambda2(g, iters, seed);
-    let lnt = lambda_nontrivial(g, iters, seed);
-    let bipartite = bipartite_sign_vector(g).is_some();
+    let x = nontrivial_extremes(g, iters, seed);
     let bound = 2.0 * ((k as f64) - 1.0).sqrt();
     SpectralSummary {
         k,
-        lambda2: l2,
-        lambda_nontrivial: lnt,
-        mu1: (k as f64 - l2) / k as f64,
-        bipartite,
-        ramanujan: lnt.abs() <= bound + RAMANUJAN_TOL,
+        lambda2: x.lambda2,
+        lambda_nontrivial: x.lambda_nontrivial,
+        mu1: (k as f64 - x.lambda2) / k as f64,
+        bipartite: x.bipartite,
+        ramanujan: x.lambda_nontrivial.abs() <= bound + RAMANUJAN_TOL,
     }
 }
 
 /// Normalized Laplacian spectral gap µ₁ = (k − λ₂)/k for a connected `k`-regular graph.
 pub fn mu1(g: &CsrGraph, iters: usize, seed: u64) -> f64 {
-    let k = g.regular_degree().expect("mu1 requires a regular graph") as f64;
-    (k - lambda2(g, iters, seed)) / k
+    spectral_summary(g, iters, seed).mu1
 }
 
 /// Check whether a connected `k`-regular graph is Ramanujan: λ(G) ≤ 2√(k−1).
@@ -392,6 +448,41 @@ mod tests {
         let spokes: Vec<(u32, u32)> = (0..5).map(|i| (i, i + 5)).collect();
         let edges: Vec<_> = outer.into_iter().chain(inner).chain(spokes).collect();
         CsrGraph::from_edges(10, &edges)
+    }
+
+    /// The unfused reference: a full `dot` sweep, then a full `axpy` sweep, per vector.
+    fn two_sweep_orthogonalize(v: &mut [f64], basis: &[Vec<f64>]) {
+        for b in basis {
+            let proj = dot(v, b);
+            axpy(v, -proj, b);
+        }
+    }
+
+    #[test]
+    fn fused_orthogonalization_is_bit_identical_to_two_sweeps() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for n in [1usize, 2, 7, 64, 1001] {
+            for count in [0usize, 1, 2, 3, 9, 24] {
+                let mut random = |len: usize| -> Vec<f64> {
+                    (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
+                };
+                let basis: Vec<Vec<f64>> = (0..count)
+                    .map(|_| {
+                        let b = random(n);
+                        let nb = norm(&b);
+                        b.into_iter().map(|x| x / nb).collect()
+                    })
+                    .collect();
+                let w = random(n);
+                let mut fused = w.clone();
+                orthogonalize_against(&mut fused, &basis);
+                let mut reference = w;
+                two_sweep_orthogonalize(&mut reference, &basis);
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fused), bits(&reference), "n = {n}, basis = {count}");
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,14 @@
 //!   deflated by the all-ones vector.
 //! * LPS(5,13) is the PGL₂ case: 2,184 vertices, 6-regular, bipartite,
 //!   deflated by the all-ones vector and the normalised 2-colouring.
+//!
+//! Beside the locks, the bipartite case is cross-checked for correctness: the
+//! one-run summary against the dense spectrum of LPS(5,7), and λ₂ across two
+//! Lanczos start vectors on LPS(5,13).
 
-use spectralfly_graph::spectral::{bipartite_sign_vector, lanczos_ritz_values, spectral_summary};
+use spectralfly_graph::spectral::{
+    bipartite_sign_vector, dense_adjacency_eigenvalues, lanczos_ritz_values, spectral_summary,
+};
 use spectralfly_graph::CsrGraph;
 use spectralfly_topology::{LpsGraph, Topology};
 
@@ -89,4 +95,48 @@ fn spectral_summary_of_lps_3_13_is_pinned() {
     assert_eq!(s.mu1.to_bits(), 0x3fc56430424e0d3c, "µ₁ = {}", s.mu1);
     assert!(!s.bipartite);
     assert!(s.ramanujan);
+}
+
+/// LPS(5,7) is bipartite (PGL₂, 336 vertices, 6-regular): the one-run summary,
+/// which deflates both trivial eigenvectors, matches the dense spectrum on λ₂
+/// and on |λ(G)|.
+#[test]
+fn bipartite_summary_matches_dense_spectrum_on_lps_5_7() {
+    let lps = LpsGraph::new(5, 7).expect("valid LPS parameters");
+    let g = lps.graph();
+    assert_eq!(g.num_vertices(), 336);
+    let dense = dense_adjacency_eigenvalues(g);
+    let n = dense.len();
+    assert!((dense[0] + 6.0).abs() < 1e-9 && (dense[n - 1] - 6.0).abs() < 1e-9);
+    let exact_l2 = dense[n - 2];
+    let exact_lambda = dense[1].abs().max(dense[n - 2].abs());
+    let s = spectral_summary(g, 100, 5);
+    assert!(s.bipartite);
+    assert!(s.ramanujan);
+    assert!(
+        (s.lambda2 - exact_l2).abs() < 1e-6,
+        "λ₂ {} vs dense {exact_l2}",
+        s.lambda2
+    );
+    assert!(
+        (s.lambda_nontrivial.abs() - exact_lambda).abs() < 1e-6,
+        "|λ(G)| {} vs dense {exact_lambda}",
+        s.lambda_nontrivial.abs()
+    );
+}
+
+/// The bipartite λ₂ does not depend on the Lanczos start vector beyond
+/// round-off.
+#[test]
+fn bipartite_lambda2_is_seed_independent_on_lps_5_13() {
+    let lps = LpsGraph::new(5, 13).expect("valid LPS parameters");
+    let a = spectral_summary(lps.graph(), 100, 1);
+    let b = spectral_summary(lps.graph(), 100, 2);
+    assert!(a.bipartite && b.bipartite);
+    assert!(
+        (a.lambda2 - b.lambda2).abs() < 1e-9,
+        "seed 1: {}, seed 2: {}",
+        a.lambda2,
+        b.lambda2
+    );
 }
