@@ -220,3 +220,93 @@ fn jobs_runs_reproduce_golden_digests() {
         table.join("\n")
     );
 }
+
+/// Multi-phase finite golden digests `(scenario, sequential,
+/// parallel-2-shard)`.
+///
+/// Every table above runs a single-phase workload, so nothing else pins the
+/// per-phase path of the finite drain: each phase starts where the previous
+/// one drained (`phase_start` carry-over), gets fresh engine and shard state,
+/// and re-arms the fault runtime fast-forwarded to the phase boundary. One
+/// three-phase workload on the chordal ring runs workload-paced, under an
+/// offered load (Poisson packetization continues across phases), and under a
+/// link-failure pulse whose fail and heal events both land inside phase 2
+/// (phase 3 then arms past both), with a retransmission budget so dropped
+/// packets recover. Recorded by this test itself (on drift it prints the
+/// full replacement table).
+const PHASED_GOLDEN: &[(&str, &str, &str)] = &[
+    ("paced/minimal", "75fbf8228fab1073", "e8b0b1d466033a50"),
+    ("offered/minimal", "b8479949ed3410c2", "396adc2d474154d0"),
+    ("pulse/minimal", "da07de0e6426bb42", "dbc849a46be57ea0"),
+    ("paced/ugal-l", "84229cf5087e4334", "ade284c2a9a2946c"),
+    ("offered/ugal-l", "02418dc0977970b6", "f86164b20af80283"),
+    ("pulse/ugal-l", "4514e6c8cfac3d94", "a99f70ef47c9cfda"),
+];
+
+#[test]
+fn multi_phase_finite_runs_reproduce_golden_digests() {
+    use spectralfly_simnet::FaultScript;
+
+    let net = SimNetwork::new(chordal_ring(12, &[(0, 6), (2, 9), (4, 10)]), 2);
+    let phase = |seed: u64| Workload::uniform_random(net.num_endpoints(), 4, 2048, seed).phases;
+    let wl = Workload {
+        phases: phase(11)
+            .into_iter()
+            .chain(phase(12))
+            .chain(phase(13))
+            .collect(),
+        name: "three-phase".into(),
+    };
+    assert_eq!(wl.phases.len(), 3);
+
+    let mut actual: Vec<(String, String, String)> = Vec::new();
+    let mut record = |label: String, cfg: &SimConfig, load: Option<f64>| {
+        let seq = try_simulate(&net, cfg, &wl, load).expect("phased run drains");
+        let par =
+            try_simulate(&net, &cfg.clone().with_shards(2), &wl, load).expect("phased run drains");
+        for r in [&seq, &par] {
+            assert_eq!(r.delivered_messages as usize, wl.num_messages(), "{label}");
+            let f = &r.faults;
+            assert_eq!(f.injected, f.delivered + f.failed, "{label}: conservation");
+            if !cfg.fault_script.is_none() {
+                assert!(f.retransmits > 0, "{label}: the pulse must drop and resend");
+            }
+        }
+        let seq = digest(&format!("{label}/seq"), &seq);
+        let par = digest(&format!("{label}/par"), &par);
+        actual.push((label, seq, par));
+    };
+
+    for routing in ["minimal", "ugal-l"] {
+        let mut cfg = SimConfig::default().with_routing(routing, net.diameter() as u32);
+        cfg.seed = 0x3FA5;
+        record(format!("paced/{routing}"), &cfg, None);
+        record(format!("offered/{routing}"), &cfg, Some(0.4));
+        // Phase 2 spans roughly 2.0–4.1 µs workload-paced on both engines.
+        let fcfg = cfg
+            .clone()
+            .with_fault_script(
+                FaultScript::parse("at(2500ns, links(0.25)) + at(3500ns, heal(all))")
+                    .unwrap()
+                    .with_seed(7),
+            )
+            .with_retransmit_budget(4);
+        record(format!("pulse/{routing}"), &fcfg, None);
+    }
+
+    let table: Vec<String> = actual
+        .iter()
+        .map(|(id, seq, par)| format!("    (\"{id}\", \"{seq}\", \"{par}\"),"))
+        .collect();
+    let pinned: Vec<String> = PHASED_GOLDEN
+        .iter()
+        .map(|(id, seq, par)| format!("    (\"{id}\", \"{seq}\", \"{par}\"),"))
+        .collect();
+    assert_eq!(
+        pinned,
+        table,
+        "multi-phase finite runs drifted from the golden digests; if the \
+         drift is intended, the new table is:\n{}",
+        table.join("\n")
+    );
+}
