@@ -11,15 +11,30 @@ use spectralfly_simnet::{
     pattern, routing, FaultPlan, FaultScript, MeasurementWindows, OraclePolicy,
 };
 
-/// Parse `--name <value>` from the command line, falling back to `default`
-/// (malformed values fall back too).
+/// Parse `--name <value>` as an unsigned integer, falling back to `default`
+/// when the flag is absent.
+///
+/// A flag without a value, or with one that is not an unsigned decimal
+/// integer, is a usage error: the binary prints it on stderr and exits with
+/// status 2.
 pub fn arg_u64(name: &str, default: u64) -> u64 {
+    match flag_value(name) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("{name}: {v:?} is not an unsigned integer"))),
+    }
+}
+
+/// The value of `--name <value>`, or `None` when the flag is absent. A flag
+/// without a value is a usage error.
+fn flag_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(default)
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1) {
+        Some(v) => Some(v.clone()),
+        None => usage_error(&format!("{name}: missing value")),
+    }
 }
 
 /// The raw string value of `--name <value>`, if the flag is present.
@@ -33,32 +48,36 @@ pub fn arg_str(name: &str) -> Option<String> {
 
 /// Parse a comma-separated `f64` list from `--name a,b,c`, falling back to
 /// `default` when the flag is absent. Every parsed value must satisfy
-/// `valid` (described by `expect` in the panic message).
+/// `valid` (described by `expect` in the error message).
 ///
-/// # Panics
-/// If the flag is present without a value, an entry is not a number, or an
-/// entry fails validation.
+/// A flag without a value, an empty list, an entry that is not a number and
+/// an entry that fails validation are usage errors: the binary prints the
+/// error on stderr and exits with status 2.
 pub fn arg_f64_list(
     name: &str,
     default: &[f64],
     valid: impl Fn(f64) -> bool,
     expect: &str,
 ) -> Vec<f64> {
-    match arg_str(name) {
-        None => default.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                let v: f64 = s
-                    .parse()
-                    .unwrap_or_else(|_| panic!("{name} entry {s:?} is not a number"));
-                assert!(valid(v), "{name} entry {v} is not {expect}");
-                v
-            })
-            .collect(),
+    let Some(list) = flag_value(name) else {
+        return default.to_vec();
+    };
+    let values: Vec<f64> = comma_list(&list)
+        .map(|s| match s.parse::<f64>() {
+            Ok(v) if valid(v) => v,
+            Ok(v) => usage_error(&format!("{name}: entry {v} is not {expect}")),
+            Err(_) => usage_error(&format!("{name}: entry {s:?} is not a number")),
+        })
+        .collect();
+    if values.is_empty() {
+        usage_error(&format!("{name}: expected at least one value"));
     }
+    values
+}
+
+/// The non-empty, trimmed entries of a comma-separated list.
+fn comma_list(list: &str) -> impl Iterator<Item = &str> {
+    list.split(',').map(str::trim).filter(|s| !s.is_empty())
 }
 
 /// Offered loads selected with `--loads a,b,c` (fractions of injection
@@ -155,35 +174,46 @@ pub fn measurement_from_args() -> Option<MeasurementWindows> {
 /// names, validated against [`spectralfly_simnet::routing`]) with a fallback when
 /// the flag is absent. `--routing all` selects every registered algorithm.
 ///
-/// # Panics
-/// If a requested name is not in the routing registry (the message lists what is).
+/// A missing value, an empty list and a name that is not in the routing
+/// registry are usage errors: the binary prints the error (naming the
+/// registered algorithms) on stderr and exits with status 2.
 pub fn routing_names_from_args(default: &[&str]) -> Vec<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let requested: Vec<String> = match args.iter().position(|a| a == "--routing") {
-        Some(i) => args
-            .get(i + 1)
-            .unwrap_or_else(|| panic!("--routing requires a comma-separated list of algorithms"))
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect(),
+    let requested: Vec<String> = match flag_value("--routing") {
+        Some(list) => comma_list(&list).map(str::to_string).collect(),
         None => default.iter().map(|s| s.to_string()).collect(),
     };
-    assert!(
-        !requested.is_empty(),
-        "--routing requires at least one algorithm; registered: {}",
-        routing::registered_names().join(", ")
-    );
-    if requested.iter().any(|r| r == "all") {
-        return routing::registered_names();
+    registry_names(
+        "--routing",
+        "routing algorithm",
+        requested,
+        routing::registered_names(),
+        routing::is_registered,
+    )
+}
+
+/// Validate names requested through `flag` against a registry: `all`
+/// selects every `registered` name; an empty request or a name `known`
+/// rejects is a usage error.
+fn registry_names(
+    flag: &str,
+    what: &str,
+    requested: Vec<String>,
+    registered: Vec<String>,
+    known: impl Fn(&str) -> bool,
+) -> Vec<String> {
+    let list = registered.join(", ");
+    if requested.is_empty() {
+        usage_error(&format!(
+            "{flag}: expected at least one {what}; registered: {list}"
+        ));
     }
-    for name in &requested {
-        assert!(
-            routing::is_registered(name),
-            "unknown routing algorithm {name:?}; registered: {}",
-            routing::registered_names().join(", ")
-        );
+    if requested.iter().any(|r| r == "all") {
+        return registered;
+    }
+    if let Some(name) = requested.iter().find(|r| !known(r)) {
+        usage_error(&format!(
+            "{flag}: unknown {what} {name:?}; registered: {list}"
+        ));
     }
     requested
 }
@@ -217,33 +247,21 @@ pub fn split_pattern_list(list: &str) -> Vec<String> {
 /// Specs may carry arguments, e.g. `--pattern "hotspot(8,0.2),adversarial"` —
 /// commas inside parentheses separate a spec's arguments, not specs.
 ///
-/// # Panics
-/// If a requested spec's base name is not in the pattern registry (the message
-/// lists what is).
+/// A missing value, an empty list and a spec whose base name is not in the
+/// pattern registry are usage errors: the binary prints the error (naming
+/// the registered patterns) on stderr and exits with status 2.
 pub fn pattern_names_from_args(default: &[&str]) -> Vec<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let requested: Vec<String> = match args.iter().position(|a| a == "--pattern") {
-        Some(i) => split_pattern_list(args.get(i + 1).unwrap_or_else(|| {
-            panic!("--pattern requires a comma-separated list of pattern specs")
-        })),
+    let requested: Vec<String> = match flag_value("--pattern") {
+        Some(list) => split_pattern_list(&list),
         None => default.iter().map(|s| s.to_string()).collect(),
     };
-    assert!(
-        !requested.is_empty(),
-        "--pattern requires at least one pattern; registered: {}",
-        pattern::registered_names().join(", ")
-    );
-    if requested.iter().any(|r| r == "all") {
-        return pattern::registered_names();
-    }
-    for spec in &requested {
-        assert!(
-            pattern::is_registered(spec),
-            "unknown traffic pattern {spec:?}; registered: {}",
-            pattern::registered_names().join(", ")
-        );
-    }
-    requested
+    registry_names(
+        "--pattern",
+        "traffic pattern",
+        requested,
+        pattern::registered_names(),
+        pattern::is_registered,
+    )
 }
 
 /// The fault plan selected on the command line: `--faults <spec>` (a

@@ -33,6 +33,13 @@
 //! [`Simulator::run_with_offered_load`] switches from the finite drain-to-empty run to
 //! continuous per-endpoint Poisson sources with warmup/measurement/drain windows — see
 //! the type's documentation and DESIGN.md for the protocol.
+//!
+//! Both shapes run through one event loop. A finite run is one loop per workload
+//! phase, with no deadline, no sample tick and no traffic feed: every packet is
+//! scheduled before the loop starts and the loop drains to empty. A steady or jobs
+//! run is one loop with the drain deadline, the `Sample` tick and one traffic feed
+//! (the workload's steady sources or the jobs runtime). The same split drives the
+//! [`parallel::ParallelSimulator`]'s one shard launcher.
 
 mod calendar;
 mod jobs;
@@ -49,6 +56,7 @@ use crate::stats::{EngineCounters, FaultStats, IntervalSample, SimResults, Stats
 use crate::workload::{Phase, Workload};
 use calendar::{CalendarQueue, Timed};
 use jobs::JobsRuntime;
+use parallel::ParallelSimulator;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spectralfly_graph::csr::VertexId;
 use std::collections::VecDeque;
@@ -410,30 +418,31 @@ fn fault_timeline(
     Ok(Some(Arc::new(tl)))
 }
 
-/// How a run proceeds, once [`resolve_run`] has checked its preconditions.
-pub(crate) enum RunMode<'c> {
-    /// Drain the workload to empty (Poisson-spaced under an offered load).
-    Finite { offered_load: Option<f64> },
-    /// Continuous per-endpoint Poisson sources with windowed measurement;
-    /// destinations come from `pattern` when one is configured, from the
-    /// workload templates otherwise.
-    Steady {
-        offered_load: f64,
-        w: &'c MeasurementWindows,
-        pattern: Option<LivePattern>,
-    },
-    /// The multi-tenant mix of [`SimConfig::jobs`] under windowed
-    /// measurement, resolved once over the alive endpoints (deterministic in
-    /// the seed, so every engine and shard count executes the identical plan).
-    Jobs {
-        offered_load: f64,
-        w: &'c MeasurementWindows,
-        plan: MixPlan,
-    },
+/// A windowed run, once [`resolve_run`] has checked its preconditions:
+/// continuous `traffic` at `load` under the measurement windows `w`, cut at
+/// the drain deadline. Steady sources cycle through `workload`'s messages.
+pub(crate) struct Window<'c> {
+    workload: &'c Workload,
+    load: f64,
+    w: &'c MeasurementWindows,
+    traffic: Traffic,
+}
+
+/// What a windowed run injects.
+pub(crate) enum Traffic {
+    /// The workload's per-endpoint Poisson sources; destinations come from
+    /// the live pattern when one is configured, from the workload templates
+    /// otherwise.
+    Sources(Option<LivePattern>),
+    /// The multi-tenant mix of [`SimConfig::jobs`], resolved once over the
+    /// alive endpoints (deterministic in the seed, so every engine and shard
+    /// count executes the identical plan).
+    Jobs(MixPlan),
 }
 
 /// The front door of every engine's `try_run*`: pick the run mode from the
-/// config and the offered load (`None` = workload-paced), make every
+/// config and the offered load (`None` = workload-paced; a finite run comes
+/// back as no [`Window`]), make every
 /// precondition check and fault validation once, and expand the fault script
 /// over the mode's horizon. Infeasible runs on a degraded network come back
 /// as typed [`SimError::Fault`]s before any simulation work; malformed
@@ -442,9 +451,9 @@ pub(crate) enum RunMode<'c> {
 pub(crate) fn resolve_run<'c>(
     net: &SimNetwork,
     cfg: &'c SimConfig,
-    workload: &Workload,
+    workload: &'c Workload,
     offered_load: Option<f64>,
-) -> Result<(RunMode<'c>, Option<Arc<FaultTimeline>>), SimError> {
+) -> Result<(Option<Window<'c>>, Option<Arc<FaultTimeline>>), SimError> {
     if let Some(load) = offered_load {
         assert!(load > 0.0 && load <= 1.0, "offered load must be in (0, 1]");
     }
@@ -457,8 +466,8 @@ pub(crate) fn resolve_run<'c>(
             );
         }
     };
-    let (mode, horizon) = match (offered_load, &cfg.windows) {
-        (Some(offered_load), Some(w)) => {
+    let (window, horizon) = match (offered_load, &cfg.windows) {
+        (Some(load), Some(w)) => {
             if let Some(mix) = cfg.jobs.as_deref() {
                 // Jobs mode supersedes both the workload templates and the
                 // live destination pattern: tenants draw their own traffic.
@@ -470,12 +479,14 @@ pub(crate) fn resolve_run<'c>(
                 let plan =
                     crate::job::resolve_mix(mix, &JobCtx::new(), &net.alive_endpoints(), cfg.seed)
                         .unwrap_or_else(|e| panic!("{e}"));
-                let mode = RunMode::Jobs {
-                    offered_load,
+                let traffic = Traffic::Jobs(plan);
+                let window = Window {
+                    workload,
+                    load,
                     w,
-                    plan,
+                    traffic,
                 };
-                (mode, w.deadline_ps())
+                (Some(window), w.deadline_ps())
             } else {
                 if net.has_faults() {
                     if w.pattern.is_some() {
@@ -501,12 +512,14 @@ pub(crate) fn resolve_run<'c>(
                         space: n,
                     }
                 });
-                let mode = RunMode::Steady {
-                    offered_load,
+                let traffic = Traffic::Sources(pattern);
+                let window = Window {
+                    workload,
+                    load,
                     w,
-                    pattern,
+                    traffic,
                 };
-                (mode, w.deadline_ps())
+                (Some(window), w.deadline_ps())
             }
         }
         _ => {
@@ -519,10 +532,87 @@ pub(crate) fn resolve_run<'c>(
                 crate::fault::validate_workload(net, workload)?;
             }
             check_endpoints();
-            (RunMode::Finite { offered_load }, cfg.fault_horizon_ps())
+            (None, cfg.fault_horizon_ps())
         }
     };
-    Ok((mode, fault_timeline(net, cfg, horizon)?))
+    Ok((window, fault_timeline(net, cfg, horizon)?))
+}
+
+/// One stretch of a run that an engine takes through its event loop.
+pub(crate) enum Segment<'r> {
+    /// A finite phase: every packet is scheduled before the loop starts, and
+    /// the loop drains to empty. Phase `idx` starts at `start`, where the
+    /// previous phase drained.
+    Phase {
+        idx: usize,
+        start: u64,
+        sched: PhaseSchedule,
+    },
+    /// A whole windowed run: the window's traffic feeds the loop, the
+    /// `Sample` tick records the time series, and the loop stops at the
+    /// drain deadline.
+    Window(&'r Window<'r>),
+}
+
+/// What a run carries from segment to segment.
+pub(crate) struct RunState {
+    /// The run's seeded stream: packetization, and on the sequential engine
+    /// also routing decisions and steady sources.
+    pub rng: StdRng,
+    pub stats: StatsCollector,
+    pub faults: FaultStats,
+    /// The expanded fault script, if one is configured.
+    pub timeline: Option<Arc<FaultTimeline>>,
+}
+
+/// An event engine, as [`drive`] runs it.
+pub(crate) trait Engine {
+    /// Take one segment through the engine's event loop, fold its statistics
+    /// into `rs`, and return the time the segment ended.
+    fn run_segment(&self, seg: Segment<'_>, rs: &mut RunState) -> Result<u64, SimError>;
+}
+
+/// Run `workload` on `engine`: resolve the run ([`resolve_run`]), then hand
+/// the engine its segments — one per non-empty phase of a finite run, one for
+/// a windowed run.
+pub(crate) fn drive(
+    engine: &impl Engine,
+    net: &SimNetwork,
+    cfg: &SimConfig,
+    workload: &Workload,
+    offered_load: Option<f64>,
+) -> Result<SimResults, SimError> {
+    let (window, timeline) = resolve_run(net, cfg, workload, offered_load)?;
+    let mut rs = RunState {
+        rng: StdRng::seed_from_u64(cfg.seed),
+        stats: StatsCollector::default(),
+        faults: FaultStats::default(),
+        timeline,
+    };
+    match &window {
+        None => {
+            let mut start = 0;
+            for (idx, phase) in workload.phases.iter().enumerate() {
+                if phase.messages.is_empty() {
+                    continue;
+                }
+                let sched = packetize_phase(net, cfg, phase, start, offered_load, &mut rs.rng);
+                let end = engine.run_segment(Segment::Phase { idx, start, sched }, &mut rs)?;
+                start = start.max(end);
+            }
+        }
+        Some(window) => {
+            let w = window.w;
+            rs.stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
+            if let Traffic::Jobs(plan) = &window.traffic {
+                rs.stats.init_tenants(plan.tenant_descs());
+            }
+            engine.run_segment(Segment::Window(window), &mut rs)?;
+        }
+    }
+    let mut results = rs.stats.finish();
+    results.faults = rs.faults;
+    Ok(results)
 }
 
 /// Turn a drained run's undelivered packets into a diagnosis: a cyclic
@@ -564,13 +654,13 @@ pub fn try_simulate(
     load: Option<f64>,
 ) -> Result<SimResults, SimError> {
     if cfg.shards > 1 {
-        parallel::ParallelSimulator::new(net, cfg).run_mode(wl, load)
+        drive(&ParallelSimulator::new(net, cfg), net, cfg, wl, load)
     } else {
-        Simulator::new(net, cfg).run_mode(wl, load)
+        drive(&Simulator::new(net, cfg), net, cfg, wl, load)
     }
 }
 
-/// What an engine supplies to the engine-independent traffic sources: the
+/// What an engine supplies to the engine-independent traffic [`Feed`]: the
 /// steady-state [`Source`]s and the jobs runtime ([`jobs::JobsRuntime`]).
 pub(crate) trait Injector {
     /// Inject one message of `bytes` from `src_ep` to `dst_ep`, its first
@@ -581,6 +671,15 @@ pub(crate) trait Injector {
 
     /// Schedule source `source`, which sits on `endpoint`, to arrive at `t`.
     fn schedule_arrival(&mut self, t: u64, source: u32, endpoint: usize);
+
+    /// The stream steady source `source` draws destinations and gaps from:
+    /// the run's shared stream on the sequential engine, a per-endpoint
+    /// stream on a shard.
+    fn source_rng(&mut self, source: usize) -> &mut StdRng;
+
+    /// Take one collective message the last event completed, as
+    /// `(tag, delivery time)`.
+    fn pop_completed(&mut self) -> Option<(MsgTag, u64)>;
 }
 
 /// The tag of template and pattern traffic: no tenant.
@@ -592,8 +691,8 @@ pub(crate) const UNTAGGED: MsgTag = MsgTag {
 
 /// A continuous Poisson source (steady-state mode): one per sending endpoint,
 /// cycling through that endpoint's workload messages.
-struct Source {
-    endpoint: usize,
+pub(crate) struct Source {
+    pub endpoint: usize,
     /// `(dst endpoint, bytes)` templates drawn from the workload, cycled in order.
     templates: Vec<(usize, u64)>,
     next_template: usize,
@@ -629,54 +728,118 @@ impl Source {
             })
             .collect()
     }
+}
 
-    /// Schedule source `si`'s first Poisson arrival.
-    fn start(
-        &self,
-        inj: &mut impl Injector,
-        cfg: &SimConfig,
-        si: usize,
+/// The traffic that feeds one event loop (one per engine, or per shard).
+pub(crate) enum Feed<'r, O> {
+    /// A finite phase: every packet was scheduled before the loop started.
+    Drain,
+    /// The workload's steady Poisson sources on the owned endpoints.
+    Sources {
+        sources: Vec<Source>,
+        /// Draws each message's destination when configured; the template
+        /// cycle still supplies the size, so workloads keep controlling *how
+        /// much* each endpoint sends while the pattern controls *where to*.
+        pattern: Option<&'r LivePattern>,
+        cfg: &'r SimConfig,
         load: f64,
-        w: &MeasurementWindows,
-        rng: &mut StdRng,
-    ) {
-        let gap = exp_gap(cfg, self.templates[0].1, load, rng);
-        if gap < w.measure_end_ps() {
-            inj.schedule_arrival(gap, si as u32, self.endpoint);
+        /// Sources fall silent at the end of the measurement window.
+        measure_end_ps: u64,
+    },
+    /// The multi-tenant jobs runtime.
+    Jobs(JobsRuntime<'r, O>),
+}
+
+impl<'r, O: Fn(usize) -> bool> Feed<'r, O> {
+    /// The feed of `window` over the endpoints `owns` accepts.
+    pub fn new(net: &SimNetwork, cfg: &'r SimConfig, window: &'r Window<'r>, owns: O) -> Self {
+        let (load, w) = (window.load, window.w);
+        match &window.traffic {
+            Traffic::Sources(pattern) => Feed::Sources {
+                sources: Source::all(net, window.workload, pattern.as_ref(), owns),
+                pattern: pattern.as_ref(),
+                cfg,
+                load,
+                measure_end_ps: w.measure_end_ps(),
+            },
+            Traffic::Jobs(plan) => {
+                let n = net.num_endpoints();
+                Feed::Jobs(JobsRuntime::new(plan, cfg, n, load, w, owns))
+            }
         }
     }
 
-    /// One arrival of source `si` at `now`: inject the next template message
-    /// through the NIC and schedule the next arrival. With a destination
-    /// `pattern` configured, the destination is drawn live from it (one draw
-    /// per message); the template cycle still supplies the size, so workloads
-    /// keep controlling *how much* each endpoint sends while the pattern
-    /// controls *where to*. `rng` is drawn in a fixed order: pattern, then
-    /// gap.
-    #[allow(clippy::too_many_arguments)]
-    fn arrive(
-        &mut self,
-        inj: &mut impl Injector,
-        cfg: &SimConfig,
-        si: usize,
-        now: u64,
-        load: f64,
-        w: &MeasurementWindows,
-        pattern: Option<&LivePattern>,
-        rng: &mut StdRng,
-    ) {
-        let (mut dst, bytes) = self.templates[self.next_template % self.templates.len()];
-        self.next_template += 1;
-        if let Some(p) = pattern {
-            dst = p.dst(self.endpoint, rng);
+    /// Start the feed at `t = 0`: schedule every steady source's first
+    /// Poisson arrival, or start the jobs runtime.
+    pub fn start(&mut self, inj: &mut impl Injector) {
+        match self {
+            Feed::Drain => {}
+            Feed::Sources {
+                sources,
+                cfg,
+                load,
+                measure_end_ps,
+                ..
+            } => {
+                for (si, s) in sources.iter().enumerate() {
+                    let gap = exp_gap(cfg, s.templates[0].1, *load, inj.source_rng(si));
+                    if gap < *measure_end_ps {
+                        inj.schedule_arrival(gap, si as u32, s.endpoint);
+                    }
+                }
+            }
+            Feed::Jobs(jobs) => jobs.start(inj),
         }
-        let t = now.max(self.nic_free_ps);
-        self.nic_free_ps = inj.inject(t, self.endpoint, dst, bytes, UNTAGGED);
-        // Next arrival of the (open-loop) Poisson process, measured from this
-        // arrival; sources fall silent at the end of the measurement window.
-        let next = now + exp_gap(cfg, bytes, load, rng);
-        if next < w.measure_end_ps() {
-            inj.schedule_arrival(next, si as u32, self.endpoint);
+    }
+
+    /// One `NextMessage` arrival of source `source` at `now`. A steady source
+    /// injects its next template message through the NIC and schedules its
+    /// next arrival, drawing from its stream in a fixed order: pattern, then
+    /// gap.
+    pub fn arrive(&mut self, inj: &mut impl Injector, source: u32, now: u64) {
+        match self {
+            Feed::Drain => unreachable!("a finite phase has no sources"),
+            Feed::Sources {
+                sources,
+                pattern,
+                cfg,
+                load,
+                measure_end_ps,
+            } => {
+                let si = source as usize;
+                let s = &mut sources[si];
+                let (mut dst, bytes) = s.templates[s.next_template % s.templates.len()];
+                s.next_template += 1;
+                if let Some(p) = pattern {
+                    dst = p.dst(s.endpoint, inj.source_rng(si));
+                }
+                let t = now.max(s.nic_free_ps);
+                s.nic_free_ps = inj.inject(t, s.endpoint, dst, bytes, UNTAGGED);
+                // Next arrival of the (open-loop) Poisson process, measured
+                // from this arrival.
+                let next = now + exp_gap(cfg, bytes, *load, inj.source_rng(si));
+                if next < *measure_end_ps {
+                    inj.schedule_arrival(next, source, s.endpoint);
+                }
+            }
+            Feed::Jobs(jobs) => jobs.on_arrival(inj, source as usize, now),
+        }
+    }
+
+    /// Hand the collective messages the last event completed to the jobs
+    /// runtime, which releases whatever they unblock.
+    pub fn release(&mut self, inj: &mut impl Injector) {
+        if let Feed::Jobs(jobs) = self {
+            while let Some((tag, t)) = inj.pop_completed() {
+                jobs.on_delivered(inj, tag, t);
+            }
+        }
+    }
+
+    /// Report the jobs runtime's completed ranks once the loop has ended.
+    pub fn finish(&self, stats: &mut StatsCollector) {
+        if let Feed::Jobs(jobs) = self {
+            jobs.report_ranks_completed(stats);
         }
     }
 }
@@ -982,7 +1145,7 @@ struct EngineState {
 }
 
 impl EngineState {
-    fn new(net: &SimNetwork, cfg: &SimConfig, phase_start: u64) -> Self {
+    fn new(net: &SimNetwork, cfg: &SimConfig) -> Self {
         // Bucket the calendar around the packet serialization time — the natural
         // spacing of transmit/arrive events — with an ample ring so only genuinely
         // far-future events (distant injections) spill into the overflow heap.
@@ -1008,7 +1171,7 @@ impl EngineState {
             msg_free: Vec::new(),
             recycle_msgs: false,
             jobs_completed: Vec::new(),
-            phase_end: phase_start,
+            phase_end: 0,
             delivered_packets_total: 0,
             delivered_bytes_total: 0,
             sampled_packets: 0,
@@ -1134,16 +1297,18 @@ pub struct Simulator<'a> {
 }
 
 /// The sequential engine's [`Injector`]: messages go through the packet
-/// arena, arrivals are sequenced calendar events.
+/// arena, arrivals are sequenced calendar events, and steady sources draw
+/// from the run's shared stream.
 struct SeqInjector<'s, 'a> {
     sim: &'s Simulator<'a>,
     st: &'s mut EngineState,
     stats: &'s mut StatsCollector,
+    rng: &'s mut StdRng,
 }
 
 impl Injector for SeqInjector<'_, '_> {
     fn inject(&mut self, mut t: u64, src_ep: usize, dst_ep: usize, bytes: u64, tag: MsgTag) -> u64 {
-        let SeqInjector { sim, st, stats } = self;
+        let SeqInjector { sim, st, stats, .. } = self;
         let segments = segment_message(sim.cfg, bytes);
         // Message slots are recycled on completion, so long runs stay bounded
         // by in-flight messages, mirroring the packet arena.
@@ -1196,6 +1361,102 @@ impl Injector for SeqInjector<'_, '_> {
     fn schedule_arrival(&mut self, t: u64, source: u32, _endpoint: usize) {
         self.st.push(t, EventKind::NextMessage { source });
     }
+
+    fn source_rng(&mut self, _source: usize) -> &mut StdRng {
+        self.rng
+    }
+
+    fn pop_completed(&mut self) -> Option<(MsgTag, u64)> {
+        self.st.jobs_completed.pop()
+    }
+}
+
+impl Engine for Simulator<'_> {
+    /// Run one [`Segment`] on fresh engine state. A finite phase loads its
+    /// packetized schedule, arms the fault runtime fast-forwarded to the
+    /// phase boundary, and must drain to empty. A windowed run arms every
+    /// fault entry as a live event, starts its traffic feed and the sample
+    /// tick, and abandons whatever is in flight at the drain deadline.
+    fn run_segment(&self, seg: Segment<'_>, rs: &mut RunState) -> Result<u64, SimError> {
+        let mut st = EngineState::new(self.net, self.cfg);
+        let (mut feed, window) = match seg {
+            Segment::Phase { start, sched, .. } => {
+                st.phase_end = start;
+                st.msg_failed = vec![false; sched.msg_packets_left.len()];
+                st.packets = sched.packets;
+                st.msg_packets_left = sched.msg_packets_left;
+                st.msg_first_inject = sched.msg_first_inject;
+                for &pi in &sched.injections {
+                    let t = st.packets[pi].inject_time_ps;
+                    st.push(t, EventKind::Inject { packet: pi as u32 });
+                }
+                st.arm_faults(self.net, &rs.timeline, Some(start));
+                if st.fault.is_some() {
+                    st.fstats.injected = st.packets.len() as u64;
+                }
+                (Feed::Drain, None)
+            }
+            Segment::Window(window) => {
+                st.recycle_msgs = true;
+                st.arm_faults(self.net, &rs.timeline, None);
+                let mut feed = Feed::new(self.net, self.cfg, window, |_| true);
+                feed.start(&mut self.injector(&mut st, rs));
+                let first_sample = window.w.sample_interval_ps.max(1);
+                if first_sample <= window.w.deadline_ps() {
+                    st.push(first_sample, EventKind::Sample);
+                }
+                (feed, Some(window.w))
+            }
+        };
+        let deadline = window.map_or(u64::MAX, |w| w.deadline_ps());
+
+        // The engine's one event loop.
+        while let Some(ev) = st.queue.pop() {
+            if ev.time > deadline {
+                // Drain deadline: abandon whatever is still in flight (above
+                // saturation the queues would never empty).
+                break;
+            }
+            st.counters.events += 1;
+            st.counters.arena_slots = st.counters.arena_slots.max(st.packets.len() as u64);
+            match ev.kind {
+                EventKind::NextMessage { source } => {
+                    feed.arrive(&mut self.injector(&mut st, rs), source, ev.time)
+                }
+                EventKind::Sample => {
+                    let w = window.expect("sample ticks run in windowed segments only");
+                    self.record_sample(ev.time, w, &mut st, &mut rs.stats)
+                }
+                _ => self.handle_event(ev, &mut st, &mut rs.rng, &mut rs.stats),
+            }
+            if !st.jobs_completed.is_empty() {
+                feed.release(&mut self.injector(&mut st, rs));
+            }
+        }
+        feed.finish(&mut rs.stats);
+
+        if window.is_none() {
+            // Every packet must have been delivered (or, under a fault
+            // script, terminally failed); anything else is an engine bug — or
+            // a genuine buffer deadlock, which the wakeup engine turns into a
+            // detectable quiescent state (the polling engine it replaced
+            // would spin on retries forever).
+            let undelivered: u32 = st.msg_packets_left.iter().sum();
+            if undelivered > 0 {
+                return Err(undelivered_error(
+                    undelivered as u64,
+                    st.parked_count,
+                    st.link_queue.iter().map(|q| q.len()).sum(),
+                    st.pending_inject.iter().map(|q| q.len()).sum(),
+                    st.occupancy.iter().sum(),
+                ));
+            }
+            debug_assert_eq!(st.parked_count, 0, "drained run left links parked");
+        }
+        rs.stats.record_engine(&st.counters);
+        rs.faults.merge(&st.fstats);
+        Ok(st.phase_end)
+    }
 }
 
 impl<'a> Simulator<'a> {
@@ -1232,7 +1493,7 @@ impl<'a> Simulator<'a> {
     /// [`SimError::Deadlock`]. On pristine networks without a fault script
     /// this never errs.
     pub fn try_run(&self, workload: &Workload) -> Result<SimResults, SimError> {
-        self.run_mode(workload, None)
+        drive(self, self.net, self.cfg, workload, None)
     }
 
     /// Run the workload with Poisson-spaced injections corresponding to an offered load in
@@ -1273,194 +1534,20 @@ impl<'a> Simulator<'a> {
         workload: &Workload,
         offered_load: f64,
     ) -> Result<SimResults, SimError> {
-        self.run_mode(workload, Some(offered_load))
-    }
-
-    /// Resolve the run mode ([`resolve_run`]) and run it.
-    pub(crate) fn run_mode(
-        &self,
-        workload: &Workload,
-        offered_load: Option<f64>,
-    ) -> Result<SimResults, SimError> {
-        let (mode, timeline) = resolve_run(self.net, self.cfg, workload, offered_load)?;
-        Ok(match mode {
-            RunMode::Finite { offered_load } => {
-                return self.run_finite(workload, offered_load, &timeline)
-            }
-            RunMode::Steady {
-                offered_load,
-                w,
-                pattern,
-            } => self.run_windowed(workload, offered_load, w, pattern.as_ref(), None, &timeline),
-            RunMode::Jobs {
-                offered_load,
-                w,
-                plan,
-            } => self.run_windowed(workload, offered_load, w, None, Some(&plan), &timeline),
-        })
-    }
-
-    /// Finite drain-to-empty run (the legacy semantics) on the wakeup engine.
-    fn run_finite(
-        &self,
-        workload: &Workload,
-        offered_load: Option<f64>,
-        timeline: &Option<Arc<FaultTimeline>>,
-    ) -> Result<SimResults, SimError> {
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut stats = StatsCollector::default();
-        let mut faults = FaultStats::default();
-        let mut phase_start: u64 = 0;
-
-        for phase in &workload.phases {
-            if phase.messages.is_empty() {
-                continue;
-            }
-            let sched = packetize_phase(
-                self.net,
-                self.cfg,
-                phase,
-                phase_start,
-                offered_load,
-                &mut rng,
-            );
-            let mut st = EngineState::new(self.net, self.cfg, phase_start);
-            st.packets = sched.packets;
-            st.msg_packets_left = sched.msg_packets_left;
-            st.msg_first_inject = sched.msg_first_inject;
-            st.msg_failed = vec![false; phase.messages.len()];
-            for &pi in &sched.injections {
-                let t = st.packets[pi].inject_time_ps;
-                st.push(t, EventKind::Inject { packet: pi as u32 });
-            }
-            // Each phase gets a fresh liveness view fast-forwarded to the
-            // phase boundary (mask flips only — no packets exist yet), then
-            // chains live fault events from the first entry still ahead.
-            st.arm_faults(self.net, timeline, Some(phase_start));
-            if st.fault.is_some() {
-                st.fstats.injected = st.packets.len() as u64;
-            }
-
-            st.counters.arena_slots = st.packets.len() as u64;
-            while let Some(ev) = st.queue.pop() {
-                st.counters.events += 1;
-                self.handle_event(ev, &mut st, &mut rng, &mut stats);
-            }
-
-            // Every packet must have been delivered (or, under a fault script,
-            // terminally failed); anything else is an engine bug — or a genuine
-            // buffer deadlock, which the wakeup engine turns into a detectable
-            // quiescent state (the polling engine it replaced would spin on
-            // retries forever).
-            let undelivered: u32 = st.msg_packets_left.iter().sum();
-            if undelivered > 0 {
-                return Err(undelivered_error(
-                    undelivered as u64,
-                    st.parked_count,
-                    st.link_queue.iter().map(|q| q.len()).sum(),
-                    st.pending_inject.iter().map(|q| q.len()).sum(),
-                    st.occupancy.iter().sum(),
-                ));
-            }
-            debug_assert_eq!(st.parked_count, 0, "drained run left links parked");
-            phase_start = st.phase_end.max(phase_start);
-            stats.record_engine(&st.counters);
-            faults.merge(&st.fstats);
-        }
-        let mut results = stats.finish();
-        results.faults = faults;
-        Ok(results)
-    }
-
-    /// Windowed steady-state run: continuous sources, windowed measurement,
-    /// bounded drain. Without a job `plan` the sources are the workload's
-    /// per-endpoint Poisson sources (destinations drawn from `pattern` when
-    /// one is configured); with one, the jobs runtime drives the tenants and
-    /// per-tenant accounting lands in [`SimResults::tenants`].
-    fn run_windowed(
-        &self,
-        workload: &Workload,
-        offered_load: f64,
-        w: &MeasurementWindows,
-        pattern: Option<&LivePattern>,
-        plan: Option<&MixPlan>,
-        timeline: &Option<Arc<FaultTimeline>>,
-    ) -> SimResults {
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
-        let mut st = EngineState::new(self.net, self.cfg, 0);
-        st.recycle_msgs = true;
-        st.arm_faults(self.net, timeline, None);
-        let mut sources: Vec<Source> = Vec::new();
-        let mut jobs = plan.map(|plan| {
-            stats.init_tenants(plan.tenant_descs());
-            let n = self.net.num_endpoints();
-            JobsRuntime::new(plan, self.cfg, n, offered_load, w, |_| true)
-        });
-        let mut inj = self.injector(&mut st, &mut stats);
-        match &mut jobs {
-            Some(jobs) => jobs.start(&mut inj),
-            None => {
-                sources = Source::all(self.net, workload, pattern, |_| true);
-                for (si, s) in sources.iter().enumerate() {
-                    s.start(&mut inj, self.cfg, si, offered_load, w, &mut rng);
-                }
-            }
-        }
-        let first_sample = w.sample_interval_ps.max(1);
-        if first_sample <= w.deadline_ps() {
-            st.push(first_sample, EventKind::Sample);
-        }
-
-        while let Some(ev) = st.queue.pop() {
-            if ev.time > w.deadline_ps() {
-                // Drain deadline: abandon whatever is still in flight (above
-                // saturation the queues would never empty).
-                break;
-            }
-            st.counters.events += 1;
-            st.counters.arena_slots = st.counters.arena_slots.max(st.packets.len() as u64);
-            match (ev.kind, &mut jobs) {
-                (EventKind::NextMessage { source }, Some(jobs)) => {
-                    let mut inj = self.injector(&mut st, &mut stats);
-                    jobs.on_arrival(&mut inj, source as usize, ev.time);
-                }
-                (EventKind::NextMessage { source }, None) => {
-                    let si = source as usize;
-                    let mut inj = self.injector(&mut st, &mut stats);
-                    let (cfg, now) = (self.cfg, ev.time);
-                    sources[si].arrive(&mut inj, cfg, si, now, offered_load, w, pattern, &mut rng);
-                }
-                (EventKind::Sample, _) => self.record_sample(ev.time, w, &mut st, &mut stats),
-                _ => self.handle_event(ev, &mut st, &mut rng, &mut stats),
-            }
-            if let Some(jobs) = &mut jobs {
-                // Release whatever the event completed (at most one message
-                // delivers per event).
-                while let Some((tag, t)) = st.jobs_completed.pop() {
-                    jobs.on_delivered(&mut self.injector(&mut st, &mut stats), tag, t);
-                }
-            }
-        }
-        if let Some(jobs) = &jobs {
-            jobs.report_ranks_completed(&mut stats);
-        }
-        stats.record_engine(&st.counters);
-        let mut results = stats.finish();
-        results.faults = st.fstats;
-        results
+        drive(self, self.net, self.cfg, workload, Some(offered_load))
     }
 
     /// The sequential engine's [`Injector`] over one loop's state.
     fn injector<'s>(
         &'s self,
         st: &'s mut EngineState,
-        stats: &'s mut StatsCollector,
+        rs: &'s mut RunState,
     ) -> SeqInjector<'s, 'a> {
         SeqInjector {
             sim: self,
             st,
-            stats,
+            stats: &mut rs.stats,
+            rng: &mut rs.rng,
         }
     }
 
@@ -1468,7 +1555,7 @@ impl<'a> Simulator<'a> {
     fn record_sample(
         &self,
         now: u64,
-        w: &crate::config::MeasurementWindows,
+        w: &MeasurementWindows,
         st: &mut EngineState,
         stats: &mut StatsCollector,
     ) {
@@ -1489,8 +1576,7 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Process one core event (injection, transmission, arrival). Shared by the
-    /// finite and steady-state loops.
+    /// Process one core event (injection, transmission, arrival, fault).
     fn handle_event(
         &self,
         ev: Event,
@@ -1614,7 +1700,7 @@ impl<'a> Simulator<'a> {
                 self.apply_fault(idx as usize, now, st);
             }
             EventKind::NextMessage { .. } | EventKind::Sample => {
-                unreachable!("steady-state events are handled by the steady loop")
+                unreachable!("feed and sample events are handled by the run loop")
             }
         }
     }

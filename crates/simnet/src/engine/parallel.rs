@@ -51,14 +51,13 @@
 //! exact cross-shard-count equality (see `tests/pdes_equivalence.rs`).
 
 use super::calendar::{CalendarQueue, Timed};
-use super::jobs::JobsRuntime;
 use super::{
-    choose_port, create_router, packetize_phase, resolve_run, segment_message, undelivered_error,
-    DropReason, FaultRuntime, Injector, LivePattern, RunMode, SimError, Source, UNTAGGED,
+    choose_port, create_router, drive, segment_message, undelivered_error, DropReason, Engine,
+    FaultRuntime, Feed, Injector, PhaseSchedule, RunState, Segment, SimError, UNTAGGED,
 };
-use crate::config::{MeasurementWindows, SimConfig};
+use crate::config::SimConfig;
 use crate::fault::{FaultEventKind, FaultTimeline};
-use crate::job::{MixPlan, MsgTag};
+use crate::job::MsgTag;
 use crate::network::SimNetwork;
 use crate::routing::{RouteScratch, Router, RoutingState};
 use crate::stats::{EngineCounters, FaultStats, IntervalSample, SimResults, StatsCollector};
@@ -411,6 +410,9 @@ struct ShardCore<'a> {
     /// `(time, key)` event order), so ids are shard-count-invariant.
     msg_ids: Vec<u64>,
     pkt_ids: Vec<u64>,
+    /// Each owned steady source's own `(seed, endpoint)` stream, by source
+    /// index, so injection is a pure function of the endpoint.
+    source_rngs: Vec<StdRng>,
     /// Per-destination-shard outboxes, flushed at barrier 3.
     out: Vec<Vec<ShardMsg>>,
     stats: StatsCollector,
@@ -445,7 +447,6 @@ impl<'a> ShardCore<'a> {
         owner: &'a [u32],
         lookahead: u64,
         stats: StatsCollector,
-        phase_start: u64,
     ) -> Self {
         let nv = cfg.num_vcs;
         let links = net.num_directed_links();
@@ -490,6 +491,7 @@ impl<'a> ShardCore<'a> {
             jobs_completed: Vec::new(),
             msg_ids: vec![0; net.num_endpoints()],
             pkt_ids: vec![0; net.num_endpoints()],
+            source_rngs: Vec::new(),
             out: (0..shards).map(|_| Vec::new()).collect(),
             stats,
             counters: EngineCounters::default(),
@@ -501,7 +503,7 @@ impl<'a> ShardCore<'a> {
             delivered_bytes_total: 0,
             sampled_packets: 0,
             sampled_bytes: 0,
-            phase_end: phase_start,
+            phase_end: 0,
         }
     }
 
@@ -1184,17 +1186,21 @@ impl Injector for ShardCore<'_> {
         let k = key(CLASS_NEXT_MESSAGE, endpoint as u64);
         self.push(t, k, PKind::NextMessage { source });
     }
+
+    fn source_rng(&mut self, source: usize) -> &mut StdRng {
+        &mut self.source_rngs[source]
+    }
+
+    fn pop_completed(&mut self) -> Option<(MsgTag, u64)> {
+        self.jobs_completed.pop()
+    }
 }
 
 /// The conservative epoch loop: publish → reduce `m` → snapshot → process
-/// `< min(m + E, deadline + 1)` → exchange. `handle` dispatches one event
-/// (the steady driver intercepts `Sample` / `NextMessage` here).
-fn run_epochs<'a, F>(
-    core: &mut ShardCore<'a>,
-    shared: &EpochShared,
-    deadline: Option<u64>,
-    mut handle: F,
-) where
+/// `< min(m + E, deadline + 1)` → exchange (`deadline = u64::MAX`: drain to
+/// empty). `handle` dispatches one event.
+fn run_epochs<'a, F>(core: &mut ShardCore<'a>, shared: &EpochShared, deadline: u64, mut handle: F)
+where
     F: FnMut(&mut ShardCore<'a>, PEvent),
 {
     loop {
@@ -1208,13 +1214,8 @@ fn run_epochs<'a, F>(
             .min()
             .expect("at least one shard");
         // Every shard computes the same `m`, so every shard breaks together.
-        if m == u64::MAX {
+        if m == u64::MAX || m > deadline {
             break;
-        }
-        if let Some(d) = deadline {
-            if m > d {
-                break;
-            }
         }
         {
             let mut board = shared.board.lock().unwrap_or_else(|e| e.into_inner());
@@ -1231,12 +1232,11 @@ fn run_epochs<'a, F>(
             core.occ_view.copy_from_slice(&board.occupancy);
             core.rocc_view.copy_from_slice(&board.router_occ);
         }
-        let mut limit = m.saturating_add(core.lookahead);
-        if let Some(d) = deadline {
-            // Cap at the drain deadline so over-deadline events are never
-            // popped — the sequential loop's break-before-count, exactly.
-            limit = limit.min(d.saturating_add(1));
-        }
+        // Cap at the drain deadline so over-deadline events are never popped
+        // — the sequential loop's break-before-count, exactly.
+        let limit = m
+            .saturating_add(core.lookahead)
+            .min(deadline.saturating_add(1));
         while let Some(ev) = core.queue.pop_before(limit) {
             core.counters.events += 1;
             handle(core, ev);
@@ -1318,6 +1318,13 @@ fn source_rng(seed: u64, endpoint: usize) -> StdRng {
 /// flow-control model is an input-queued
 /// variant of the sequential engine's (see the module docs), so uncongested
 /// runs also match [`crate::Simulator`] exactly.
+///
+/// Every run mode goes through one shard launcher: a finite run launches the
+/// shards once per workload phase, each shard draining its share of the
+/// phase's packets; a steady or jobs run launches them once, each shard
+/// driving the traffic of the endpoints it owns up to the drain deadline.
+/// Either way the shards run the same epoch loop, and their outcomes are
+/// folded into the results the same way.
 pub struct ParallelSimulator<'a> {
     net: &'a SimNetwork,
     cfg: &'a SimConfig,
@@ -1379,7 +1386,7 @@ impl<'a> ParallelSimulator<'a> {
     /// [`ParallelSimulator::run`], returning infeasible-workload and deadlock
     /// conditions as typed errors (see [`crate::Simulator::try_run`]).
     pub fn try_run(&self, workload: &Workload) -> Result<SimResults, SimError> {
-        self.run_mode(workload, None)
+        drive(self, self.net, self.cfg, workload, None)
     }
 
     /// Run with Poisson-spaced injections at an offered load in `(0, 1]`.
@@ -1402,130 +1409,139 @@ impl<'a> ParallelSimulator<'a> {
         workload: &Workload,
         offered_load: f64,
     ) -> Result<SimResults, SimError> {
-        self.run_mode(workload, Some(offered_load))
+        drive(self, self.net, self.cfg, workload, Some(offered_load))
     }
 
-    /// Resolve the run mode (the front door shared with the sequential
-    /// engine, so both check and schedule exactly the same) and run it.
-    pub(crate) fn run_mode(
-        &self,
-        workload: &Workload,
-        offered_load: Option<f64>,
-    ) -> Result<SimResults, SimError> {
-        let (mode, timeline) = resolve_run(self.net, self.cfg, workload, offered_load)?;
-        Ok(match mode {
-            RunMode::Finite { offered_load } => {
-                return self.run_finite(workload, offered_load, &timeline)
-            }
-            RunMode::Steady {
-                offered_load,
-                w,
-                pattern,
-            } => self.run_windowed(workload, offered_load, w, pattern.as_ref(), None, &timeline),
-            RunMode::Jobs {
-                offered_load,
-                w,
-                plan,
-            } => self.run_windowed(workload, offered_load, w, None, Some(&plan), &timeline),
-        })
-    }
-
-    /// Finite drain-to-empty run: one epoch-synchronized co-simulation per
-    /// phase. Packetization happens on the main thread with the same global
-    /// RNG stream as the sequential engine, so injection schedules are
-    /// byte-identical to [`crate::Simulator`]'s.
-    fn run_finite(
-        &self,
-        workload: &Workload,
-        offered_load: Option<f64>,
-        timeline: &Option<Arc<FaultTimeline>>,
-    ) -> Result<SimResults, SimError> {
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut stats = StatsCollector::default();
-        let mut faults = FaultStats::default();
-        let mut phase_start: u64 = 0;
-
-        for (phase_idx, phase) in workload.phases.iter().enumerate() {
-            if phase.messages.is_empty() {
-                continue;
-            }
-            let sched = packetize_phase(
-                self.net,
-                self.cfg,
-                phase,
-                phase_start,
-                offered_load,
-                &mut rng,
-            );
-            let total = sched.packets.len() as u64;
-            let mut shard_pkts: Vec<Vec<ParPacket>> = vec![Vec::new(); self.shards];
-            for (i, p) in sched.packets.iter().enumerate() {
-                shard_pkts[self.owner[p.src_router as usize] as usize].push(ParPacket {
-                    src_router: p.src_router,
-                    dst_router: p.dst_router,
-                    bytes: p.bytes,
-                    inject_time_ps: p.inject_time_ps,
-                    hops: 0,
-                    routing: p.routing.clone(),
-                    stable_id: ((phase_idx as u64) << 40) | i as u64,
-                    msg_id: p.msg as u64,
-                    msg_total: sched.msg_packets_left[p.msg],
-                    msg_first_inject: sched.msg_first_inject[p.msg],
-                    via_link: u32::MAX,
-                    via_vc: 0,
-                    attempts: 0,
-                    first_drop_ps: u64::MAX,
-                    tag: UNTAGGED,
-                });
-            }
-
-            let shared = EpochShared::new(self.shards, self.net, self.cfg);
-            let outs: Vec<ShardOutcome> = std::thread::scope(|scope| {
-                let handles: Vec<_> = shard_pkts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(sid, pkts)| {
-                        let shared = &shared;
-                        scope.spawn(move || {
-                            let _guard = PoisonGuard(&shared.barrier);
-                            let mut core = ShardCore::new(
-                                sid,
-                                self.shards,
-                                self.net,
-                                self.cfg,
-                                self.router.as_ref(),
-                                &self.owner,
-                                self.lookahead,
-                                StatsCollector::default(),
-                                phase_start,
-                            );
-                            // Each phase gets a fresh liveness view
-                            // fast-forwarded to the phase boundary, exactly
-                            // as in the sequential engine.
-                            core.arm_faults(timeline, Some(phase_start));
-                            for p in pkts {
-                                let t = p.inject_time_ps;
-                                let k = key(CLASS_INJECT, p.stable_id);
-                                let slot = core.alloc_packet(p);
-                                if core.fault.is_some() {
-                                    core.fstats.injected += 1;
-                                }
-                                core.push(
-                                    t,
-                                    k,
-                                    PKind::Inject {
-                                        packet: slot as u32,
-                                    },
-                                );
-                            }
-                            run_epochs(&mut core, shared, None, |c, ev| c.handle_core(ev));
-                            core.into_outcome()
-                        })
-                    })
-                    .collect();
-                join_shards(handles)
+    /// Split phase `idx`'s schedule into per-shard packet lists by source
+    /// router, with stable ids `(idx << 40) | packet index`.
+    fn shard_packets(&self, idx: usize, sched: PhaseSchedule) -> Vec<Vec<ParPacket>> {
+        let mut shard_pkts: Vec<Vec<ParPacket>> = vec![Vec::new(); self.shards];
+        for (i, p) in sched.packets.iter().enumerate() {
+            shard_pkts[self.owner[p.src_router as usize] as usize].push(ParPacket {
+                src_router: p.src_router,
+                dst_router: p.dst_router,
+                bytes: p.bytes,
+                inject_time_ps: p.inject_time_ps,
+                hops: 0,
+                routing: p.routing.clone(),
+                stable_id: ((idx as u64) << 40) | i as u64,
+                msg_id: p.msg as u64,
+                msg_total: sched.msg_packets_left[p.msg],
+                msg_first_inject: sched.msg_first_inject[p.msg],
+                via_link: u32::MAX,
+                via_vc: 0,
+                attempts: 0,
+                first_drop_ps: u64::MAX,
+                tag: UNTAGGED,
             });
+        }
+        shard_pkts
+    }
+}
 
+impl Engine for ParallelSimulator<'_> {
+    /// The engine's one shard launcher: run one [`Segment`] as an
+    /// epoch-synchronized co-simulation, one scoped thread per shard, then
+    /// fold the shards' outcomes into the run. A finite phase hands each
+    /// shard its share of the packetized schedule (built on the main thread
+    /// from the same global RNG stream as the sequential engine, so injection
+    /// schedules are byte-identical to [`crate::Simulator`]'s) and must drain
+    /// to empty. A windowed run has each shard drive the traffic of the
+    /// endpoints it owns, and folds the per-shard sample partials by tick
+    /// index.
+    fn run_segment(&self, seg: Segment<'_>, rs: &mut RunState) -> Result<u64, SimError> {
+        let (start, shard_pkts, window, base) = match seg {
+            Segment::Phase { idx, start, sched } => {
+                let pkts = self.shard_packets(idx, sched);
+                (start, pkts, None, StatsCollector::default())
+            }
+            Segment::Window(window) => {
+                // Every shard's collector starts as the armed, empty main one.
+                let pkts = vec![Vec::new(); self.shards];
+                (0, pkts, Some(window), rs.stats.clone())
+            }
+        };
+        let deadline = window.map_or(u64::MAX, |window| window.w.deadline_ps());
+        let total: u64 = shard_pkts.iter().map(|p| p.len() as u64).sum();
+        let shared = EpochShared::new(self.shards, self.net, self.cfg);
+        let timeline = &rs.timeline;
+        let outs: Vec<ShardOutcome> = std::thread::scope(|scope| {
+            let handles: Vec<_> = shard_pkts
+                .into_iter()
+                .enumerate()
+                .map(|(sid, pkts)| {
+                    let (shared, base) = (&shared, &base);
+                    scope.spawn(move || {
+                        let _guard = PoisonGuard(&shared.barrier);
+                        let mut core = ShardCore::new(
+                            sid,
+                            self.shards,
+                            self.net,
+                            self.cfg,
+                            self.router.as_ref(),
+                            &self.owner,
+                            self.lookahead,
+                            base.clone(),
+                        );
+                        // A finite phase gets a fresh liveness view
+                        // fast-forwarded to the phase boundary, exactly as in
+                        // the sequential engine (events pop in `(time, key)`
+                        // order, so arming before the packets changes nothing).
+                        core.phase_end = start;
+                        core.arm_faults(timeline, window.is_none().then_some(start));
+                        let mut feed = match window {
+                            None => {
+                                for p in pkts {
+                                    let t = p.inject_time_ps;
+                                    let k = key(CLASS_INJECT, p.stable_id);
+                                    let packet = core.alloc_packet(p) as u32;
+                                    if core.fault.is_some() {
+                                        core.fstats.injected += 1;
+                                    }
+                                    core.push(t, k, PKind::Inject { packet });
+                                }
+                                Feed::Drain
+                            }
+                            Some(window) => {
+                                let owns = |ep: usize| {
+                                    self.owner[self.net.router_of_endpoint(ep) as usize] as usize
+                                        == sid
+                                };
+                                let mut feed = Feed::new(self.net, self.cfg, window, owns);
+                                if let Feed::Sources { sources, .. } = &feed {
+                                    core.source_rngs = (sources.iter())
+                                        .map(|s| source_rng(self.cfg.seed, s.endpoint))
+                                        .collect();
+                                }
+                                feed.start(&mut core);
+                                // Sampling is event-free: each shard folds its
+                                // local partial whenever event time crosses a
+                                // tick boundary (and after the loop, for the
+                                // trailing ticks).
+                                core.arm_sampler(window.w.sample_interval_ps, deadline);
+                                feed
+                            }
+                        };
+                        run_epochs(&mut core, shared, deadline, |c, ev| {
+                            c.flush_sample_ticks(ev.time);
+                            match ev.kind {
+                                PKind::NextMessage { source } => feed.arrive(c, source, ev.time),
+                                _ => c.handle_core(ev),
+                            }
+                            if !c.jobs_completed.is_empty() {
+                                feed.release(c);
+                            }
+                        });
+                        core.flush_sample_ticks(deadline);
+                        feed.finish(&mut core.stats);
+                        core.into_outcome()
+                    })
+                })
+                .collect();
+            join_shards(handles)
+        });
+
+        if window.is_none() {
             let delivered: u64 = outs.iter().map(|o| o.delivered_packets).sum();
             let failed: u64 = outs.iter().map(|o| o.fstats.failed).sum();
             if delivered + failed < total {
@@ -1537,117 +1553,7 @@ impl<'a> ParallelSimulator<'a> {
                     outs.iter().map(|o| o.occ_sum).sum(),
                 ));
             }
-            for o in outs {
-                phase_start = phase_start.max(o.phase_end);
-                stats.record_engine(&o.counters);
-                faults.merge(&o.fstats);
-                stats.absorb(o.stats);
-            }
         }
-        let mut results = stats.finish();
-        results.faults = faults;
-        Ok(results)
-    }
-
-    /// Windowed steady-state run: shard-owned continuous sources, windowed
-    /// measurement, per-shard sample partials folded by tick index. Without
-    /// a job `plan` each shard drives the workload's Poisson sources on the
-    /// endpoints it owns; with one, each shard runs the jobs runtime for the
-    /// ranks it owns (see the `jobs` module).
-    fn run_windowed(
-        &self,
-        workload: &Workload,
-        offered_load: f64,
-        w: &MeasurementWindows,
-        pattern: Option<&LivePattern>,
-        plan: Option<&MixPlan>,
-        timeline: &Option<Arc<FaultTimeline>>,
-    ) -> SimResults {
-        let mut stats = StatsCollector::with_window(w.measure_start_ps(), w.measure_end_ps());
-        if let Some(plan) = plan {
-            stats.init_tenants(plan.tenant_descs());
-        }
-        let ivm = w.sample_interval_ps.max(1);
-        let deadline = w.deadline_ps();
-        let shared = EpochShared::new(self.shards, self.net, self.cfg);
-        let outs: Vec<ShardOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards)
-                .map(|sid| {
-                    let shared = &shared;
-                    // Every shard's collector starts as the armed, empty main one.
-                    let shard_stats = stats.clone();
-                    scope.spawn(move || {
-                        let _guard = PoisonGuard(&shared.barrier);
-                        let mut core = ShardCore::new(
-                            sid,
-                            self.shards,
-                            self.net,
-                            self.cfg,
-                            self.router.as_ref(),
-                            &self.owner,
-                            self.lookahead,
-                            shard_stats,
-                            0,
-                        );
-                        core.arm_faults(timeline, None);
-                        let owns = |ep: usize| {
-                            self.owner[self.net.router_of_endpoint(ep) as usize] as usize == sid
-                        };
-                        let n = self.net.num_endpoints();
-                        let mut jobs =
-                            plan.map(|p| JobsRuntime::new(p, self.cfg, n, offered_load, w, owns));
-                        // Each steady source draws from its own `(seed, endpoint)`
-                        // stream, so injection is a pure function of the endpoint.
-                        let mut sources: Vec<(StdRng, Source)> = Vec::new();
-                        match &mut jobs {
-                            Some(jobs) => jobs.start(&mut core),
-                            None => {
-                                sources = Source::all(self.net, workload, pattern, owns)
-                                    .into_iter()
-                                    .map(|s| (source_rng(self.cfg.seed, s.endpoint), s))
-                                    .collect();
-                                for (si, (rng, s)) in sources.iter_mut().enumerate() {
-                                    s.start(&mut core, self.cfg, si, offered_load, w, rng);
-                                }
-                            }
-                        }
-                        // Sampling is event-free: each shard folds its local
-                        // partial whenever event time crosses a tick boundary
-                        // (and below, after the loop, for the trailing ticks).
-                        core.arm_sampler(ivm, deadline);
-                        run_epochs(&mut core, shared, Some(deadline), |c, ev| {
-                            c.flush_sample_ticks(ev.time);
-                            match (ev.kind, &mut jobs) {
-                                (PKind::NextMessage { source }, Some(jobs)) => {
-                                    jobs.on_arrival(c, source as usize, ev.time)
-                                }
-                                (PKind::NextMessage { source }, None) => {
-                                    let si = source as usize;
-                                    let (rng, s) = &mut sources[si];
-                                    let (cfg, now) = (self.cfg, ev.time);
-                                    s.arrive(c, cfg, si, now, offered_load, w, pattern, rng);
-                                }
-                                _ => c.handle_core(ev),
-                            }
-                            if let Some(jobs) = &mut jobs {
-                                // Release whatever the event completed (at
-                                // most one message delivers per event).
-                                while let Some((tag, t)) = c.jobs_completed.pop() {
-                                    jobs.on_delivered(c, tag, t);
-                                }
-                            }
-                        });
-                        core.flush_sample_ticks(deadline);
-                        if let Some(jobs) = &jobs {
-                            jobs.report_ranks_completed(&mut core.stats);
-                        }
-                        core.into_outcome()
-                    })
-                })
-                .collect();
-            join_shards(handles)
-        });
-
         let nticks = outs[0].samples.len();
         debug_assert!(
             outs.iter().all(|o| o.samples.len() == nticks),
@@ -1660,7 +1566,7 @@ impl<'a> ParallelSimulator<'a> {
             let packets: u64 = outs.iter().map(|o| o.samples[k].packets).sum();
             let queued: u64 = outs.iter().map(|o| o.samples[k].queued).sum();
             let parked: usize = outs.iter().map(|o| o.samples[k].parked).sum();
-            stats.record_sample(IntervalSample {
+            rs.stats.record_sample(IntervalSample {
                 t_ps,
                 delivered_bytes: bytes,
                 delivered_packets: packets,
@@ -1668,15 +1574,14 @@ impl<'a> ParallelSimulator<'a> {
                 blocked_links: parked,
             });
         }
-        let mut faults = FaultStats::default();
+        let mut end = 0;
         for o in outs {
-            stats.record_engine(&o.counters);
-            faults.merge(&o.fstats);
-            stats.absorb(o.stats);
+            end = end.max(o.phase_end);
+            rs.stats.record_engine(&o.counters);
+            rs.faults.merge(&o.fstats);
+            rs.stats.absorb(o.stats);
         }
-        let mut results = stats.finish();
-        results.faults = faults;
-        results
+        Ok(end)
     }
 }
 
