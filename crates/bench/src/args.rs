@@ -18,7 +18,7 @@ use spectralfly_simnet::{
 /// integer, is a usage error: the binary prints it on stderr and exits with
 /// status 2.
 pub fn arg_u64(name: &str, default: u64) -> u64 {
-    match flag_value(name) {
+    match arg_str(name) {
         None => default,
         Some(v) => v
             .parse()
@@ -26,24 +26,16 @@ pub fn arg_u64(name: &str, default: u64) -> u64 {
     }
 }
 
-/// The value of `--name <value>`, or `None` when the flag is absent. A flag
-/// without a value is a usage error.
-fn flag_value(name: &str) -> Option<String> {
+/// The raw string value of `--name <value>`, or `None` when the flag is
+/// absent. A flag without a value is a usage error: the binary prints it on
+/// stderr and exits with status 2.
+pub fn arg_str(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     let i = args.iter().position(|a| a == name)?;
     match args.get(i + 1) {
         Some(v) => Some(v.clone()),
         None => usage_error(&format!("{name}: missing value")),
     }
-}
-
-/// The raw string value of `--name <value>`, if the flag is present.
-pub fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 /// Parse a comma-separated `f64` list from `--name a,b,c`, falling back to
@@ -59,7 +51,7 @@ pub fn arg_f64_list(
     valid: impl Fn(f64) -> bool,
     expect: &str,
 ) -> Vec<f64> {
-    let Some(list) = flag_value(name) else {
+    let Some(list) = arg_str(name) else {
         return default.to_vec();
     };
     let values: Vec<f64> = comma_list(&list)
@@ -178,7 +170,7 @@ pub fn measurement_from_args() -> Option<MeasurementWindows> {
 /// registry are usage errors: the binary prints the error (naming the
 /// registered algorithms) on stderr and exits with status 2.
 pub fn routing_names_from_args(default: &[&str]) -> Vec<String> {
-    let requested: Vec<String> = match flag_value("--routing") {
+    let requested: Vec<String> = match arg_str("--routing") {
         Some(list) => comma_list(&list).map(str::to_string).collect(),
         None => default.iter().map(|s| s.to_string()).collect(),
     };
@@ -251,7 +243,7 @@ pub fn split_pattern_list(list: &str) -> Vec<String> {
 /// pattern registry are usage errors: the binary prints the error (naming
 /// the registered patterns) on stderr and exits with status 2.
 pub fn pattern_names_from_args(default: &[&str]) -> Vec<String> {
-    let requested: Vec<String> = match flag_value("--pattern") {
+    let requested: Vec<String> = match arg_str("--pattern") {
         Some(list) => split_pattern_list(&list),
         None => default.iter().map(|s| s.to_string()).collect(),
     };

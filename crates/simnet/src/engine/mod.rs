@@ -568,7 +568,7 @@ pub(crate) struct RunState {
 /// An event engine, as [`drive`] runs it.
 pub(crate) trait Engine {
     /// Take one segment through the engine's event loop, fold its statistics
-    /// into `rs`, and return the time the segment ended.
+    /// into `rs`, and return the time of its last delivery (`0` if none).
     fn run_segment(&self, seg: Segment<'_>, rs: &mut RunState) -> Result<u64, SimError>;
 }
 
@@ -692,7 +692,7 @@ pub(crate) const UNTAGGED: MsgTag = MsgTag {
 /// A continuous Poisson source (steady-state mode): one per sending endpoint,
 /// cycling through that endpoint's workload messages.
 pub(crate) struct Source {
-    pub endpoint: usize,
+    endpoint: usize,
     /// `(dst endpoint, bytes)` templates drawn from the workload, cycled in order.
     templates: Vec<(usize, u64)>,
     next_template: usize,
@@ -1381,7 +1381,6 @@ impl Engine for Simulator<'_> {
         let mut st = EngineState::new(self.net, self.cfg);
         let (mut feed, window) = match seg {
             Segment::Phase { start, sched, .. } => {
-                st.phase_end = start;
                 st.msg_failed = vec![false; sched.msg_packets_left.len()];
                 st.packets = sched.packets;
                 st.msg_packets_left = sched.msg_packets_left;
@@ -1410,7 +1409,6 @@ impl Engine for Simulator<'_> {
         };
         let deadline = window.map_or(u64::MAX, |w| w.deadline_ps());
 
-        // The engine's one event loop.
         while let Some(ev) = st.queue.pop() {
             if ev.time > deadline {
                 // Drain deadline: abandon whatever is still in flight (above

@@ -1487,7 +1487,6 @@ impl Engine for ParallelSimulator<'_> {
                         // fast-forwarded to the phase boundary, exactly as in
                         // the sequential engine (events pop in `(time, key)`
                         // order, so arming before the packets changes nothing).
-                        core.phase_end = start;
                         core.arm_faults(timeline, window.is_none().then_some(start));
                         let mut feed = match window {
                             None => {
